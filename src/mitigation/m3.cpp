@@ -53,17 +53,26 @@ QuasiDistribution M3Mitigator::mitigate(const sim::Counts& counts) const {
 
   // Column normalization within the observed subspace keeps Ā stochastic on
   // the restricted space (the M3 trick that controls the truncation bias).
+  // Ā is built once, row-major, so each solver matvec is a plain k x k
+  // product instead of re-deriving every entry from the per-bit
+  // probabilities.
+  std::vector<double> a_bar(k * k);
+  for (std::size_t i = 0; i < k; ++i)
+    for (std::size_t j = 0; j < k; ++j) a_bar[i * k + j] = assignment(i, j);
   std::vector<double> col_norm(k, 0.0);
   for (std::size_t j = 0; j < k; ++j) {
-    for (std::size_t i = 0; i < k; ++i) col_norm[j] += assignment(i, j);
+    for (std::size_t i = 0; i < k; ++i) col_norm[j] += a_bar[i * k + j];
     HGP_REQUIRE(col_norm[j] > 1e-12, "M3Mitigator: degenerate column");
   }
+  for (std::size_t i = 0; i < k; ++i)
+    for (std::size_t j = 0; j < k; ++j) a_bar[i * k + j] /= col_norm[j];
 
   auto matvec = [&](const std::vector<double>& x) {
     std::vector<double> y(k, 0.0);
     for (std::size_t i = 0; i < k; ++i) {
+      const double* row = &a_bar[i * k];
       double s = 0.0;
-      for (std::size_t j = 0; j < k; ++j) s += assignment(i, j) / col_norm[j] * x[j];
+      for (std::size_t j = 0; j < k; ++j) s += row[j] * x[j];
       y[i] = s;
     }
     return y;

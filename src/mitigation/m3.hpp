@@ -26,8 +26,9 @@ struct QuasiDistribution {
 /// Matrix-free measurement error mitigation (M3, Nation et al., PRX Quantum
 /// 2021): restrict the assignment matrix to the subspace of *observed*
 /// bitstrings, normalize its columns within the subspace, and solve
-/// Ā x = p_noisy iteratively (GMRES) with the matrix applied on the fly from
-/// per-qubit confusion data — no 2^n matrix is ever formed.
+/// Ā x = p_noisy iteratively (GMRES). Ā is built once per call from
+/// per-qubit confusion data as a k x k matrix over the k observed
+/// bitstrings — no 2^n matrix is ever formed.
 class M3Mitigator {
  public:
   /// `errors[i]` is the confusion of measured bit i.

@@ -7,6 +7,7 @@
 #include "mitigation/cvar.hpp"
 #include "mitigation/m3.hpp"
 #include "mitigation/zne.hpp"
+#include "linalg/solve.hpp"
 #include "linalg/vec.hpp"
 #include "sim/statevector.hpp"
 
@@ -26,7 +27,74 @@ Counts corrupt(const Counts& ideal, const std::vector<ReadoutError>& errors, Rng
   return noisy;
 }
 
+/// Reference M3 solve with Ā applied entry by entry from the per-bit
+/// confusion probabilities inside every matvec — the formula the mitigator's
+/// precomputed matrix must reproduce bit for bit.
+mit::QuasiDistribution m3_entrywise(const std::vector<ReadoutError>& errors,
+                                    const Counts& counts) {
+  std::vector<std::uint64_t> keys;
+  double shots = 0.0;
+  for (const auto& [bits, n] : counts) {
+    keys.push_back(bits);
+    shots += static_cast<double>(n);
+  }
+  const std::size_t k = keys.size();
+  auto bit_prob = [&](std::size_t q, bool measured, bool truth) -> double {
+    const ReadoutError& e = errors[q];
+    if (truth) return measured ? 1.0 - e.p0_given_1 : e.p0_given_1;
+    return measured ? e.p1_given_0 : 1.0 - e.p1_given_0;
+  };
+  auto assignment = [&](std::size_t i, std::size_t j) {
+    double p = 1.0;
+    for (std::size_t q = 0; q < errors.size(); ++q)
+      p *= bit_prob(q, (keys[i] >> q) & 1, (keys[j] >> q) & 1);
+    return p;
+  };
+  std::vector<double> col_norm(k, 0.0);
+  for (std::size_t j = 0; j < k; ++j)
+    for (std::size_t i = 0; i < k; ++i) col_norm[j] += assignment(i, j);
+  auto matvec = [&](const std::vector<double>& x) {
+    std::vector<double> y(k, 0.0);
+    for (std::size_t i = 0; i < k; ++i) {
+      double s = 0.0;
+      for (std::size_t j = 0; j < k; ++j) s += assignment(i, j) / col_norm[j] * x[j];
+      y[i] = s;
+    }
+    return y;
+  };
+  std::vector<double> p_noisy(k);
+  for (std::size_t i = 0; i < k; ++i)
+    p_noisy[i] = static_cast<double>(counts.at(keys[i])) / shots;
+  const la::GmresResult sol = la::gmres(matvec, p_noisy, 300, 1e-10, 60);
+  mit::QuasiDistribution out;
+  out.solver_iterations = sol.iterations;
+  out.converged = sol.converged;
+  out.overhead = 0.0;
+  for (std::size_t i = 0; i < k; ++i) {
+    out.probs[keys[i]] = sol.x[i];
+    out.overhead += std::abs(sol.x[i]);
+  }
+  return out;
+}
+
 }  // namespace
+
+TEST(M3, PrecomputedMatrixBitIdenticalToEntrywiseFormula) {
+  for (const std::size_t n : {6u, 10u}) {
+    Rng rng(1000 + n);
+    std::vector<ReadoutError> errors(n);
+    for (ReadoutError& e : errors) e = {rng.uniform(0.005, 0.05), rng.uniform(0.01, 0.08)};
+    Counts counts;
+    for (int s = 0; s < 1024; ++s)
+      ++counts[static_cast<std::uint64_t>(rng.uniform_int(0, (1 << n) - 1))];
+    const mit::QuasiDistribution got = M3Mitigator(errors).mitigate(counts);
+    const mit::QuasiDistribution want = m3_entrywise(errors, counts);
+    EXPECT_EQ(got.solver_iterations, want.solver_iterations) << n << " qubits";
+    EXPECT_EQ(got.converged, want.converged) << n << " qubits";
+    EXPECT_EQ(got.overhead, want.overhead) << n << " qubits";
+    EXPECT_EQ(got.probs, want.probs) << n << " qubits";
+  }
+}
 
 TEST(M3, IdentityWhenNoReadoutError) {
   const std::vector<ReadoutError> errors = {{0.0, 0.0}, {0.0, 0.0}};
