@@ -1,6 +1,7 @@
 #include "core/executor.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cmath>
 #include <exception>
@@ -27,14 +28,19 @@ namespace {
 
 /// The executor's process-wide "executor.*" telemetry series, resolved from
 /// the registry once. Stage histograms are fed by RAII spans (so the same
-/// event lands in the run-lifecycle trace); the Kraus-branch counters are
-/// flushed once per lane group, never per draw, keeping the hot loop clean.
+/// event lands in the run-lifecycle trace); the Kraus-branch and trunk
+/// counters are flushed once per shot batch, never per draw, keeping the hot
+/// loop clean.
 struct ExecMetrics {
   obs::Counter& shots;
   obs::Counter& lane_groups;
   obs::Counter& kraus_jumps;
   obs::Counter& dephase_flips;
   obs::Counter& pauli_charges;
+  /// Shots that never branched (terminated straight off the batch trunk),
+  /// and pool passes that resumed from a trunk step after a full pool.
+  obs::Counter& trunk_shots;
+  obs::Counter& pool_resumes;
   obs::Counter& blocks_compiled;
   obs::Counter& expectation_batches;
   obs::Counter& fusion_blocks_in;
@@ -61,6 +67,8 @@ struct ExecMetrics {
                          reg.counter("executor.kraus_jumps"),
                          reg.counter("executor.dephase_flips"),
                          reg.counter("executor.pauli_charges"),
+                         reg.counter("executor.trunk_shots"),
+                         reg.counter("executor.pool_resumes"),
                          reg.counter("executor.blocks_compiled"),
                          reg.counter("executor.expectation_batches"),
                          reg.counter("executor.fusion.blocks_in"),
@@ -151,8 +159,8 @@ bool has_frequency_instruction(const pulse::Schedule& sched) {
 // sampling the exact same quantum-jump unraveling as noise::apply_* (the
 // reference implementation the parity tests compare against).
 //
-// The lane-batched kernels in run_lane_group sample the same branches from
-// per-lane streams in the same per-shot draw order; both sides share
+// The batch walker (BatchWalker) samples the same branches from per-shot
+// streams in the same per-shot draw order; both sides share
 // noise::relaxation_constants / noise::sample_depolarizing so the branch
 // probabilities agree to the bit.
 
@@ -240,7 +248,9 @@ std::uint64_t traj_sample_one(const sim::Statevector& sv, double weight, Rng& rn
 ///   phase(lq, ratio, unitary)  — 1q virtual diagonal block; trajectory
 ///     engines drop the global phase and multiply by ratio, the density
 ///     engine applies the full unitary,
-///   apply(unitary, locals), depolarize(qubits, p)
+///   apply(unitary, locals), depolarize(qubits, num_qubits, p) — the charged
+///     qubits as a pointer into the block's own qubit list, so a charge
+///     never builds a container
 template <typename Relax, typename Drift, typename Phase, typename Apply, typename Depol>
 void walk_noise_timeline(const CompiledProgram& cp, double dep1, double dep2,
                          int readout_dt, Relax&& relax, Drift&& drift, Phase&& phase,
@@ -267,11 +277,11 @@ void walk_noise_timeline(const CompiledProgram& cp, double dep1, double dep2,
       // qubits (exact for 1q blocks; even split for multi-qubit blocks).
       const double p = dep1 * static_cast<double>(s.block.drive_plays) /
                        static_cast<double>(s.local.size());
-      for (std::size_t lq : s.local) depolarize({lq}, p);
+      for (const std::size_t& lq : s.local) depolarize(&lq, std::size_t{1}, p);
     }
     if (s.block.cr_halves > 0 && s.local.size() >= 2) {
       const double p = dep2 * static_cast<double>(s.block.cr_halves) / 2.0;
-      depolarize({s.local[0], s.local[1]}, p);
+      depolarize(s.local.data(), std::size_t{2}, p);
     }
   }
   // Idle to the end of the circuit, then decohere through readout.
@@ -279,16 +289,392 @@ void walk_noise_timeline(const CompiledProgram& cp, double dep1, double dep2,
     relax(lq, cp.makespan_dt - cp.clock[lq] + readout_dt);
 }
 
-/// Per-thread scratch of run_lane_group, reused across lane groups, batches,
-/// and runs so a shot loop does not reallocate a dozen small vectors per
-/// 16-shot group (the lane statevector itself is hoisted by the caller).
-struct LaneWorkspace {
-  std::vector<Rng> rngs;
-  std::vector<double> weight, x, m1, take, scale1;
-  std::vector<std::uint8_t> diverged, precheck, flip, codes;
-  std::vector<int> picks;
-  std::vector<std::uint64_t> bits;
-  std::vector<std::pair<double, std::size_t>> clean;
+/// One step of the trajectory noise walk, recorded once per run from
+/// walk_noise_timeline: the batch walker resumes at any step by index, and
+/// relaxation constants and drift phases are computed once per (slot, qubit)
+/// with the same function and arguments as the per-shot walk.
+struct NoiseStep {
+  enum class Kind : std::uint8_t { Apply, Phase, Relax, Depolarize };
+  Kind kind = Kind::Apply;
+  /// Phase / Relax act on q[0]; Depolarize charges q[0 .. nq).
+  std::array<std::size_t, 2> q{};
+  std::size_t nq = 0;
+  const la::CMat* unitary = nullptr;                 // Apply
+  const std::vector<std::size_t>* locals = nullptr;  // Apply
+  la::cxd ratio{1.0, 0.0};                           // Phase
+  noise::RelaxationConstants rc;                     // Relax
+  double p = 0.0;                                    // Depolarize
+};
+
+/// The trajectory noise walk of `cp` as a flat step list. Apply steps point
+/// into `cp`, which must outlive the list.
+std::vector<NoiseStep> record_noise_steps(const CompiledProgram& cp,
+                                          const noise::NoiseModel& nm, int readout_dt,
+                                          bool coherent_noise) {
+  std::vector<NoiseStep> steps;
+  auto phase = [&](std::size_t lq, la::cxd ratio) {
+    NoiseStep st;
+    st.kind = NoiseStep::Kind::Phase;
+    st.q[0] = lq;
+    st.ratio = ratio;
+    steps.push_back(st);
+  };
+  auto relax = [&](std::size_t lq, int duration_dt) {
+    if (duration_dt <= 0) return;
+    const noise::QubitNoise& qn = nm.qubits[cp.touched[lq]];
+    NoiseStep st;
+    st.kind = NoiseStep::Kind::Relax;
+    st.q[0] = lq;
+    st.rc = noise::relaxation_constants(qn.t1_us, qn.t2_us, duration_dt * pulse::kDtNs);
+    steps.push_back(st);
+  };
+  auto idle_drift = [&](std::size_t lq, int duration_dt) {
+    if (duration_dt <= 0 || !coherent_noise) return;
+    const double drift = nm.qubits[cp.touched[lq]].freq_drift_ghz;
+    if (drift == 0.0) return;
+    const double angle = 2.0 * la::kPi * drift * duration_dt * pulse::kDtNs;
+    phase(lq, std::polar(1.0, angle));
+  };
+  walk_noise_timeline(
+      cp, nm.dep_per_1q_pulse, nm.dep_per_2q_block, readout_dt, relax, idle_drift,
+      [&](std::size_t lq, la::cxd ratio, const la::CMat&) { phase(lq, ratio); },
+      [&](const la::CMat& u, const std::vector<std::size_t>& locals) {
+        NoiseStep st;
+        st.kind = NoiseStep::Kind::Apply;
+        st.unitary = &u;
+        st.locals = &locals;
+        steps.push_back(st);
+      },
+      [&](const std::size_t* qubits, std::size_t n, double p) {
+        NoiseStep st;
+        st.kind = NoiseStep::Kind::Depolarize;
+        st.nq = n;
+        for (std::size_t i = 0; i < n; ++i) st.q[i] = qubits[i];
+        st.p = p;
+        steps.push_back(st);
+      });
+  return steps;
+}
+
+/// The shot-batch walker of the trajectory engine (shot_batch_lanes >= 2).
+///
+/// Until a shot takes its first stochastic branch (a jump, a phase flip or a
+/// Pauli pick) its amplitudes are bit-identical to those of every other shot
+/// that has not branched yet. One walk over a shot batch therefore keeps:
+///  - the trunk: one single-lane state plus its squared norm, the state every
+///    unbranched shot shares, evolved once per step with the lane kernels;
+///  - the pool: up to `lanes` slots. A shot gets a slot only when it
+///    branches: the pre-step trunk is copied in and the shot takes its
+///    branch in the pool's per-slot step;
+///  - a resume point, for a branching shot that finds the pool full: the
+///    trunk stays frozen before that step and the still-unbranched shots'
+///    streams are rewound to it. The full pool runs to the end and
+///    terminates, then a new pool resumes from that step.
+/// Unbranched shots still make every draw from their own child stream in the
+/// scalar per-shot order and decide jumps against the trunk's weight and
+/// |1>-mass, so each shot draws, branches and evolves exactly as in the
+/// scalar engine. State memory is the pool plus the one trunk lane.
+class BatchWalker {
+ public:
+  BatchWalker(const std::vector<NoiseStep>& steps, std::size_t num_qubits, std::size_t lanes)
+      : trunk(num_qubits, 1),
+        pool(num_qubits, lanes),
+        active(lanes, 0),
+        slot_shot(lanes, 0),
+        slot_rng(lanes),
+        weight(lanes, 1.0),
+        steps_(steps),
+        lanes_(lanes),
+        x_(lanes),
+        m1_(lanes),
+        take_(lanes),
+        scale1_(lanes),
+        precheck_(lanes),
+        flip_(lanes),
+        codes_(lanes),
+        picks_(lanes) {}
+
+  std::size_t lanes() const { return lanes_; }
+
+  /// Walk shots first .. first+count-1 of the child-stream grid of `base`.
+  /// pool_done(*this) runs after every pool pass (slots with active[l] hold
+  /// terminal states, weight[l] their squared norms, slot_rng[l] their
+  /// streams); trunk_done(*this) runs once at the end for the shots that
+  /// never branched (free_shot / free_rng, all sharing `trunk` and
+  /// trunk_weight). Returns the number of pool passes.
+  template <typename PoolDone, typename TrunkDone>
+  std::size_t walk(std::uint64_t base, std::size_t first, std::size_t count,
+                   const CancelToken* tok, PoolDone&& pool_done, TrunkDone&& trunk_done) {
+    trunk.reset();
+    trunk_weight = 1.0;
+    free_shot.clear();
+    free_rng.clear();
+    for (std::size_t s = 0; s < count; ++s) {
+      free_shot.push_back(s);
+      free_rng.push_back(Rng::child(base, first + s));
+    }
+    saved_.resize(count);
+    fx_.resize(count);
+    fpick_.resize(count);
+    fprecheck_.resize(count);
+    fflip_.resize(count);
+    branch_.resize(count);
+
+    // Kraus-branch telemetry: plain locals bumped inside the branch
+    // decisions (no atomics, no clock), flushed once per batch.
+    n_jumps_ = n_flips_ = n_pauli_ = 0;
+    std::size_t passes = 0, start = 0;
+    ExecMetrics& em = ExecMetrics::get();
+    for (;;) {
+      if (tok) tok->check();
+      std::fill(active.begin(), active.end(), 0);
+      n_active_ = 0;
+      frozen_ = false;
+      obs::Span evolve_span("executor.lane_evolve", &em.lane_evolve_ns);
+      for (std::size_t k = start; k < steps_.size(); ++k) step(k);
+      evolve_span.finish();
+      ++passes;
+      if (n_active_ != 0) pool_done(*this);
+      if (!frozen_) break;
+      start = resume_;
+    }
+    if (!free_shot.empty()) trunk_done(*this);
+
+    if (obs::enabled()) {
+      if (n_jumps_) em.kraus_jumps.inc(n_jumps_);
+      if (n_flips_) em.dephase_flips.inc(n_flips_);
+      if (n_pauli_) em.pauli_charges.inc(n_pauli_);
+      if (!free_shot.empty()) em.trunk_shots.inc(free_shot.size());
+      if (passes > 1) em.pool_resumes.inc(passes - 1);
+    }
+    return passes;
+  }
+
+  sim::BatchedStatevector trunk;
+  double trunk_weight = 1.0;
+  /// Batch positions (ascending) and streams of the shots still on the trunk.
+  std::vector<std::size_t> free_shot;
+  std::vector<Rng> free_rng;
+  sim::BatchedStatevector pool;
+  std::vector<std::uint8_t> active;
+  std::vector<std::size_t> slot_shot;
+  std::vector<Rng> slot_rng;
+  /// Squared norms of the (deferred-normalization) slot states.
+  std::vector<double> weight;
+
+ private:
+  void step(std::size_t k) {
+    const NoiseStep& st = steps_[k];
+    switch (st.kind) {
+      case NoiseStep::Kind::Apply:
+        if (n_active_ != 0) pool.apply_matrix(*st.unitary, *st.locals);
+        if (!frozen_) trunk.apply_matrix(*st.unitary, *st.locals);
+        return;
+      case NoiseStep::Kind::Phase:
+        if (n_active_ != 0) pool.apply_phase_ratio(st.q[0], st.ratio);
+        if (!frozen_) trunk.apply_phase_ratio(st.q[0], st.ratio);
+        return;
+      case NoiseStep::Kind::Relax:
+        relax(st, k);
+        return;
+      case NoiseStep::Kind::Depolarize:
+        depolarize(st, k);
+        return;
+    }
+  }
+
+  /// Move the unbranched shots with branch_[i] set into free pool slots, in
+  /// shot order; take(i, slot) hands over the step's draws. When they do not
+  /// all fit, the rest of the unbranched shots rewind to their pre-step
+  /// streams and the trunk freezes before step k.
+  template <typename Take>
+  void place(std::size_t k, std::size_t n_branch, Take&& take) {
+    const std::size_t room = lanes_ - n_active_;
+    const bool overflow = n_branch > room;
+    std::size_t kept = 0, placed = 0, slot = 0;
+    for (std::size_t i = 0; i < free_shot.size(); ++i) {
+      if (branch_[i] && placed < room) {
+        while (active[slot]) ++slot;
+        pool.copy_lane_from(trunk, 0, slot);
+        weight[slot] = trunk_weight;
+        slot_rng[slot] = free_rng[i];
+        slot_shot[slot] = free_shot[i];
+        active[slot] = 1;
+        take(i, slot);
+        ++placed;
+        continue;
+      }
+      free_shot[kept] = free_shot[i];
+      free_rng[kept] = overflow ? saved_[i] : free_rng[i];
+      ++kept;
+    }
+    free_shot.resize(kept);
+    free_rng.erase(free_rng.begin() + static_cast<std::ptrdiff_t>(kept), free_rng.end());
+    n_active_ += placed;
+    if (overflow) {
+      frozen_ = true;
+      resume_ = k;
+    }
+  }
+
+  void relax(const NoiseStep& st, std::size_t k) {
+    const noise::RelaxationConstants& rc = st.rc;
+    const std::size_t lq = st.q[0];
+    const bool damping = rc.gamma > 0.0;
+    // Draw phase (scalar per-shot order): one uniform for the damping branch
+    // when gamma > 0, then one bernoulli for dephasing. The jump shortcut is
+    // the scalar one — u >= gamma * weight settles "no jump" without the
+    // mass; only shots inside the window need m1 before deciding.
+    for (std::size_t l = 0; l < lanes_; ++l) {
+      precheck_[l] = 0;
+      flip_[l] = 0;
+      if (!active[l]) continue;
+      if (damping) {
+        x_[l] = slot_rng[l].uniform() * weight[l];
+        precheck_[l] = x_[l] < rc.gamma * weight[l];
+      }
+      flip_[l] = rc.dephase && slot_rng[l].bernoulli(rc.p_z);
+    }
+    if (!frozen_) {
+      const double w = trunk_weight;
+      bool any_precheck = false;
+      for (std::size_t i = 0; i < free_shot.size(); ++i) {
+        saved_[i] = free_rng[i];
+        fprecheck_[i] = 0;
+        if (damping) {
+          fx_[i] = free_rng[i].uniform() * w;
+          fprecheck_[i] = fx_[i] < rc.gamma * w;
+          any_precheck |= fprecheck_[i] != 0;
+        }
+        fflip_[i] = rc.dephase && free_rng[i].bernoulli(rc.p_z);
+      }
+      double m1 = 0.0;
+      if (any_precheck) trunk.masses_one(lq, &m1);
+      std::size_t n_branch = 0;
+      for (std::size_t i = 0; i < free_shot.size(); ++i) {
+        branch_[i] = fflip_[i] || (fprecheck_[i] && fx_[i] < rc.gamma * m1);
+        n_branch += branch_[i];
+      }
+      if (n_branch != 0)
+        place(k, n_branch, [&](std::size_t i, std::size_t l) {
+          x_[l] = fx_[i];
+          precheck_[l] = fprecheck_[i];
+          flip_[l] = fflip_[i];
+        });
+    }
+    if (n_active_ != 0) relax_pool(rc, lq);
+    if (!frozen_ && damping) {
+      // The trunk takes the no-branch step: damp |1>, measuring its mass.
+      double m1 = 0.0;
+      const double scale = rc.damp;
+      trunk.fused_mass_damp(lq, &scale, &m1);
+      trunk_weight -= rc.gamma * m1;
+    }
+  }
+
+  /// The pool's relaxation step on its drawn x_ / precheck_ / flip_; empty
+  /// slots carry no precheck or flip and are merely damped.
+  void relax_pool(const noise::RelaxationConstants& rc, std::size_t lq) {
+    bool any_precheck = false, any_flip = false;
+    for (std::size_t l = 0; l < lanes_; ++l) {
+      any_precheck |= precheck_[l] != 0;
+      if (flip_[l]) {
+        any_flip = true;
+        ++n_flips_;
+      }
+    }
+    if (rc.gamma > 0.0) {
+      if (!any_precheck) {
+        // No slot can jump: fused mass + damp pass (dephasing sign folded —
+        // amp * (-damp) rounds identically to -(amp * damp)).
+        for (std::size_t l = 0; l < lanes_; ++l) scale1_[l] = flip_[l] ? -rc.damp : rc.damp;
+        pool.fused_mass_damp(lq, scale1_.data(), m1_.data());
+        for (std::size_t l = 0; l < lanes_; ++l)
+          if (active[l]) weight[l] -= rc.gamma * m1_[l];
+      } else {
+        pool.masses_one(lq, m1_.data());
+        for (std::size_t l = 0; l < lanes_; ++l) {
+          if (precheck_[l] && x_[l] < rc.gamma * m1_[l]) {
+            take_[l] = 1.0;
+            scale1_[l] = 0.0;  // jump: |1> moves to |0> (flip acts on zeros)
+            weight[l] = m1_[l];
+            ++n_jumps_;
+          } else {
+            take_[l] = 0.0;
+            scale1_[l] = flip_[l] ? -rc.damp : rc.damp;
+            if (active[l]) weight[l] -= rc.gamma * m1_[l];
+          }
+        }
+        pool.damp_or_jump(lq, take_.data(), scale1_.data());
+      }
+    } else if (any_flip) {
+      for (std::size_t l = 0; l < lanes_; ++l) {
+        take_[l] = 0.0;
+        scale1_[l] = flip_[l] ? -1.0 : 1.0;
+      }
+      pool.damp_or_jump(lq, take_.data(), scale1_.data());
+    }
+  }
+
+  // Depolarizing charges: every stream draws its Pauli pick first, then the
+  // pool walks the charged qubits once. A qubit where two or more slots drew
+  // a non-identity Pauli takes the grouped one-sweep Pauli pass; a lone
+  // charged slot keeps the strided per-lane apply. Both are bitwise
+  // identical to the per-shot path, so the grouping is purely a throughput
+  // choice.
+  void depolarize(const NoiseStep& st, std::size_t k) {
+    for (std::size_t l = 0; l < lanes_; ++l)
+      picks_[l] = active[l] ? noise::sample_depolarizing(st.nq, st.p, slot_rng[l]) : 0;
+    if (!frozen_) {
+      std::size_t n_branch = 0;
+      for (std::size_t i = 0; i < free_shot.size(); ++i) {
+        saved_[i] = free_rng[i];
+        fpick_[i] = noise::sample_depolarizing(st.nq, st.p, free_rng[i]);
+        branch_[i] = fpick_[i] != 0;
+        n_branch += branch_[i];
+      }
+      if (n_branch != 0)
+        place(k, n_branch, [&](std::size_t i, std::size_t l) { picks_[l] = fpick_[i]; });
+    }
+    if (n_active_ == 0) return;
+    std::size_t charged = 0;
+    for (std::size_t l = 0; l < lanes_; ++l) charged += picks_[l] != 0;
+    if (charged == 0) return;
+    n_pauli_ += charged;
+    for (std::size_t i = 0; i < st.nq; ++i) {
+      std::size_t hits = 0, last = 0;
+      for (std::size_t l = 0; l < lanes_; ++l) {
+        codes_[l] = static_cast<std::uint8_t>((picks_[l] >> (2 * i)) & 3);
+        if (codes_[l] != 0) {
+          ++hits;
+          last = l;
+        }
+      }
+      if (hits == 0) continue;
+      if (hits == 1)
+        pool.apply_matrix_lane(la::pauli_matrix(static_cast<la::Pauli>(codes_[last])), st.q[i],
+                               last);
+      else
+        pool.apply_pauli_lanes(st.q[i], codes_.data());
+    }
+  }
+
+  const std::vector<NoiseStep>& steps_;
+  const std::size_t lanes_;
+  std::size_t n_active_ = 0;
+  bool frozen_ = false;
+  std::size_t resume_ = 0;
+  std::uint64_t n_jumps_ = 0, n_flips_ = 0, n_pauli_ = 0;
+  // Per-slot draws of the current step.
+  std::vector<double> x_, m1_, take_, scale1_;
+  std::vector<std::uint8_t> precheck_, flip_, codes_;
+  std::vector<int> picks_;
+  // Per-unbranched-shot draws of the current step, and the pre-step streams
+  // a pool overflow rewinds to.
+  std::vector<Rng> saved_;
+  std::vector<double> fx_;
+  std::vector<int> fpick_;
+  std::vector<std::uint8_t> fprecheck_, fflip_, branch_;
 };
 
 /// Readout confusion on one sampled outcome: one bernoulli per measured bit
@@ -659,8 +1045,8 @@ sim::Counts Executor::run_noiseless(const CompiledProgram& cp, std::size_t shots
   return out;
 }
 
-void Executor::run_one_shot(const CompiledProgram& cp, sim::Statevector& sv, Rng& rng,
-                            sim::Counts& out) const {
+double Executor::evolve_one_shot(const CompiledProgram& cp, sim::Statevector& sv,
+                                 Rng& rng) const {
   const noise::NoiseModel& nm = dev_.noise_model();
   const double dep1 = nm.dep_per_1q_pulse;
   const double dep2 = nm.dep_per_2q_block;
@@ -693,235 +1079,10 @@ void Executor::run_one_shot(const CompiledProgram& cp, sim::Statevector& sv, Rng
       [&](const la::CMat& u, const std::vector<std::size_t>& locals) {
         sv.apply_matrix(u, locals);
       },
-      [&](const std::vector<std::size_t>& qubits, double p) {
-        noise::apply_depolarizing(sv, qubits, p, rng);
+      [&](const std::size_t* qubits, std::size_t n, double p) {
+        noise::apply_depolarizing(sv, {qubits, qubits + n}, p, rng);
       });
-
-  std::uint64_t bits = traj_sample_one(sv, weight, rng);
-  if (options_.readout_error) bits = apply_readout_flips(bits, cp, nm, rng);
-  ++out[map_bits(bits, cp)];
-}
-
-namespace {
-
-/// Evolve bsv.lanes() trajectories in lockstep through the compiled
-/// timeline — the shared noise walk of run_lane_group (which samples the
-/// terminal states) and Executor::run_expectation (which reduces them
-/// exactly). Fills and returns the thread-local workspace: per-lane child
-/// streams positioned after the last noise draw, deferred-normalization
-/// weights, and diverged flags.
-LaneWorkspace& evolve_lanes(const backend::FakeBackend& dev, const ExecutorOptions& options,
-                            const CompiledProgram& cp, sim::BatchedStatevector& bsv,
-                            std::uint64_t rng_base, std::size_t first_shot) {
-  const std::size_t nl = bsv.lanes();
-  const noise::NoiseModel& nm = dev.noise_model();
-  const double dep1 = nm.dep_per_1q_pulse;
-  const double dep2 = nm.dep_per_2q_block;
-
-  // Kraus-branch telemetry: plain locals bumped inside the branch decisions
-  // (no atomics, no clock) and flushed to the sharded counters once per lane
-  // group — per-draw instrumentation would be the one thing that could blow
-  // the <=2% telemetry budget.
-  std::uint64_t n_jumps = 0, n_flips = 0, n_pauli = 0;
-
-  static thread_local LaneWorkspace ws;
-
-  // Per-lane streams: lane l replays exactly the draw sequence shot
-  // first_shot + l makes in the scalar path (uniform before bernoulli per
-  // relaxation, bernoulli then rejection-sampled pick per depolarizing,
-  // sample uniform then readout flips at the end).
-  std::vector<Rng>& rngs = ws.rngs;
-  rngs.clear();
-  rngs.reserve(nl);
-  for (std::size_t l = 0; l < nl; ++l) rngs.push_back(Rng::child(rng_base, first_shot + l));
-
-  // Squared norms of the (deferred-normalization) per-lane states, and which
-  // lanes took any stochastic branch (jump / phase flip / Pauli pick) — the
-  // untouched lanes stay bitwise identical and share one sampling pass.
-  std::vector<double>& weight = ws.weight;
-  std::vector<std::uint8_t>& diverged = ws.diverged;
-  std::vector<double>& x = ws.x;
-  std::vector<double>& m1 = ws.m1;
-  std::vector<double>& take = ws.take;
-  std::vector<double>& scale1 = ws.scale1;
-  std::vector<std::uint8_t>& precheck = ws.precheck;
-  std::vector<std::uint8_t>& flip = ws.flip;
-  weight.assign(nl, 1.0);
-  diverged.assign(nl, 0);
-  x.resize(nl);
-  m1.resize(nl);
-  take.resize(nl);
-  scale1.resize(nl);
-  precheck.resize(nl);
-  flip.resize(nl);
-
-  auto relax = [&](std::size_t lq, int duration_dt) {
-    if (duration_dt <= 0) return;
-    const noise::QubitNoise& qn = nm.qubits[cp.touched[lq]];
-    const noise::RelaxationConstants rc =
-        noise::relaxation_constants(qn.t1_us, qn.t2_us, duration_dt * pulse::kDtNs);
-    // Draw phase (scalar per-shot order): one uniform for the damping branch
-    // when gamma > 0, then one bernoulli for dephasing. The jump shortcut is
-    // the scalar one — u >= gamma * weight settles "no jump" without the
-    // mass; only lanes inside the window need m1 before deciding.
-    bool any_precheck = false, any_flip = false;
-    for (std::size_t l = 0; l < nl; ++l) {
-      precheck[l] = 0;
-      if (rc.gamma > 0.0) {
-        x[l] = rngs[l].uniform() * weight[l];
-        if (x[l] < rc.gamma * weight[l]) {
-          precheck[l] = 1;
-          any_precheck = true;
-        }
-      }
-      flip[l] = rc.dephase ? static_cast<std::uint8_t>(rngs[l].bernoulli(rc.p_z)) : 0;
-      if (flip[l]) {
-        any_flip = true;
-        diverged[l] = 1;
-        ++n_flips;
-      }
-    }
-    if (rc.gamma > 0.0) {
-      if (!any_precheck) {
-        // No lane can jump: fused mass + damp pass (dephasing sign folded —
-        // amp * (-damp) rounds identically to -(amp * damp)).
-        for (std::size_t l = 0; l < nl; ++l) scale1[l] = flip[l] ? -rc.damp : rc.damp;
-        bsv.fused_mass_damp(lq, scale1.data(), m1.data());
-        for (std::size_t l = 0; l < nl; ++l) weight[l] -= rc.gamma * m1[l];
-      } else {
-        bsv.masses_one(lq, m1.data());
-        for (std::size_t l = 0; l < nl; ++l) {
-          if (precheck[l] && x[l] < rc.gamma * m1[l]) {
-            take[l] = 1.0;
-            scale1[l] = 0.0;  // jump: |1> moves to |0> (flip acts on zeros)
-            weight[l] = m1[l];
-            diverged[l] = 1;
-            ++n_jumps;
-          } else {
-            take[l] = 0.0;
-            scale1[l] = flip[l] ? -rc.damp : rc.damp;
-            weight[l] -= rc.gamma * m1[l];
-          }
-        }
-        bsv.damp_or_jump(lq, take.data(), scale1.data());
-      }
-    } else if (any_flip) {
-      for (std::size_t l = 0; l < nl; ++l) {
-        take[l] = 0.0;
-        scale1[l] = flip[l] ? -1.0 : 1.0;
-      }
-      bsv.damp_or_jump(lq, take.data(), scale1.data());
-    }
-  };
-  auto idle_drift = [&](std::size_t lq, int duration_dt) {
-    if (duration_dt <= 0 || !options.coherent_noise) return;
-    const double drift = nm.qubits[cp.touched[lq]].freq_drift_ghz;
-    if (drift == 0.0) return;
-    const double angle = 2.0 * la::kPi * drift * duration_dt * pulse::kDtNs;
-    bsv.apply_phase_ratio(lq, std::polar(1.0, angle));
-  };
-  // Depolarizing charges: draw every lane's Pauli pick first (per-lane
-  // stream order unchanged), then walk the block's qubits once. A qubit
-  // where two or more lanes drew a non-identity Pauli takes the grouped
-  /// one-sweep Pauli pass; a lone charged lane keeps the strided per-lane
-  // apply. Both are bitwise identical to the per-lane path, so the grouping
-  // threshold is purely a throughput choice — at large dep rates most
-  // charges fold into the grouped sweep.
-  std::vector<int>& picks = ws.picks;
-  std::vector<std::uint8_t>& codes = ws.codes;
-  picks.resize(nl);
-  codes.resize(nl);
-  auto depolarize = [&](const std::vector<std::size_t>& qubits, double p) {
-    std::size_t charged = 0;
-    for (std::size_t l = 0; l < nl; ++l) {
-      picks[l] = noise::sample_depolarizing(qubits.size(), p, rngs[l]);
-      if (picks[l] != 0) {
-        diverged[l] = 1;
-        ++charged;
-        ++n_pauli;
-      }
-    }
-    if (charged == 0) return;
-    for (std::size_t i = 0; i < qubits.size(); ++i) {
-      std::size_t active = 0, last = 0;
-      for (std::size_t l = 0; l < nl; ++l) {
-        codes[l] = static_cast<std::uint8_t>((picks[l] >> (2 * i)) & 3);
-        if (codes[l] != 0) {
-          ++active;
-          last = l;
-        }
-      }
-      if (active == 0) continue;
-      if (active == 1) {
-        bsv.apply_matrix_lane(la::pauli_matrix(static_cast<la::Pauli>(codes[last])),
-                              qubits[i], last);
-      } else {
-        bsv.apply_pauli_lanes(qubits[i], codes.data());
-      }
-    }
-  };
-
-  walk_noise_timeline(
-      cp, dep1, dep2, dev.readout_duration_dt(), relax, idle_drift,
-      [&](std::size_t lq, la::cxd ratio, const la::CMat&) {
-        bsv.apply_phase_ratio(lq, ratio);
-      },
-      [&](const la::CMat& u, const std::vector<std::size_t>& locals) {
-        bsv.apply_matrix(u, locals);
-      },
-      depolarize);
-
-  if (obs::enabled() && (n_jumps | n_flips | n_pauli) != 0) {
-    ExecMetrics& em = ExecMetrics::get();
-    if (n_jumps) em.kraus_jumps.inc(n_jumps);
-    if (n_flips) em.dephase_flips.inc(n_flips);
-    if (n_pauli) em.pauli_charges.inc(n_pauli);
-  }
-  return ws;
-}
-
-}  // namespace
-
-void Executor::run_lane_group(const CompiledProgram& cp, sim::BatchedStatevector& bsv,
-                              std::uint64_t rng_base, std::size_t first_shot,
-                              sim::Counts& out) const {
-  const std::size_t nl = bsv.lanes();
-  const noise::NoiseModel& nm = dev_.noise_model();
-  ExecMetrics& em = ExecMetrics::get();
-  obs::Span evolve_span("executor.lane_evolve", &em.lane_evolve_ns);
-  LaneWorkspace& ws = evolve_lanes(dev_, options_, cp, bsv, rng_base, first_shot);
-  evolve_span.finish();
-  obs::Span sample_span("executor.sample", &em.sample_ns);
-  std::vector<Rng>& rngs = ws.rngs;
-  std::vector<double>& weight = ws.weight;
-  std::vector<std::uint8_t>& diverged = ws.diverged;
-  std::vector<double>& x = ws.x;
-
-  // Terminal sampling: per-lane stream order is one uniform, then the
-  // readout flips. Lanes that never took a stochastic branch are bitwise
-  // identical — sort their draws and emit them in one shared accumulate
-  // pass; diverged lanes each scan their own lane in one lane-major pass.
-  for (std::size_t l = 0; l < nl; ++l) x[l] = rngs[l].uniform() * weight[l];
-  std::vector<std::uint64_t>& bits = ws.bits;
-  bits.resize(nl);
-  std::vector<std::pair<double, std::size_t>>& clean = ws.clean;
-  clean.clear();
-  clean.reserve(nl);
-  for (std::size_t l = 0; l < nl; ++l)
-    if (!diverged[l]) clean.emplace_back(x[l], l);
-  if (!clean.empty()) {
-    std::sort(clean.begin(), clean.end());
-    bsv.sample_sorted(clean.back().second, clean.data(), clean.size(), bits.data());
-  }
-  if (clean.size() < nl) bsv.sample_lanes(x.data(), diverged.data(), bits.data());
-
-  for (std::size_t l = 0; l < nl; ++l) {
-    std::uint64_t b = bits[l];
-    if (options_.readout_error) b = apply_readout_flips(b, cp, nm, rngs[l]);
-    ++out[map_bits(b, cp)];
-  }
-  em.lane_groups.inc();
-  em.shots.inc(nl);
+  return weight;
 }
 
 sim::Counts Executor::run_trajectories(const CompiledProgram& cp, std::size_t shots,
@@ -931,19 +1092,27 @@ sim::Counts Executor::run_trajectories(const CompiledProgram& cp, std::size_t sh
   // exactly one step regardless of shots, batches, lanes, or thread count.
   // Every shot then owns Rng::child(base, shot_index), so the counts depend
   // only on (base, shots) — not on how shots are grouped into thread batches
-  // or lockstep lanes.
+  // or pool slots.
   const std::uint64_t base = rng.next_u64();
   const std::size_t lanes = std::max<std::size_t>(std::size_t{1}, options_.shot_batch_lanes);
+  const noise::NoiseModel& nm = dev_.noise_model();
+  const std::vector<NoiseStep> steps =
+      lanes > 1 ? record_noise_steps(cp, nm, dev_.readout_duration_dt(), options_.coherent_noise)
+                : std::vector<NoiseStep>{};
 
+  ExecMetrics& em = ExecMetrics::get();
   std::vector<sim::Counts> batch_counts(num_batches);
+  std::atomic<std::size_t> pool_passes{0};
   const CancelToken* tok = options_.cancel.get();
   auto run_batch = [&](std::size_t b) {
-    // Cancellation checkpoint at every batch boundary: a cancelled run's
-    // remaining batches throw instead of simulating, so the pool worker is
-    // freed within one batch regardless of the shot budget.
+    // Cancellation checkpoint at every batch boundary (and every pool pass):
+    // a cancelled run's remaining batches throw instead of simulating, so
+    // the pool worker is freed within one pass regardless of the shot budget.
     if (tok) tok->check();
     const std::size_t first = b * kShotsPerBatch;
     const std::size_t count = std::min(kShotsPerBatch, shots - first);
+    sim::Counts& out = batch_counts[b];
+    em.shots.inc(count);
     if (lanes <= 1) {
       // Scalar fallback: one shot at a time on a reused statevector.
       sim::Statevector sv(cp.touched.size());
@@ -951,28 +1120,46 @@ sim::Counts Executor::run_trajectories(const CompiledProgram& cp, std::size_t sh
         if (tok) tok->check();
         if (s != 0) sv.reset();
         Rng shot_rng = Rng::child(base, first + s);
-        run_one_shot(cp, sv, shot_rng, batch_counts[b]);
+        const double weight = evolve_one_shot(cp, sv, shot_rng);
+        std::uint64_t bits = traj_sample_one(sv, weight, shot_rng);
+        if (options_.readout_error) bits = apply_readout_flips(bits, cp, nm, shot_rng);
+        ++out[map_bits(bits, cp)];
       }
-      ExecMetrics::get().shots.inc(count);
       return;
     }
-    // Lane-parallel: lockstep groups of `lanes` shots; the (reused) full
-    // group state plus one tail-sized state when count % lanes != 0.
-    std::unique_ptr<sim::BatchedStatevector> full;
-    for (std::size_t g = 0; g < count; g += lanes) {
-      if (tok) tok->check();
-      const std::size_t nl = std::min(lanes, count - g);
-      if (nl == lanes) {
-        if (full)
-          full->reset();
-        else
-          full = std::make_unique<sim::BatchedStatevector>(cp.touched.size(), lanes);
-        run_lane_group(cp, *full, base, first + g, batch_counts[b]);
-      } else {
-        sim::BatchedStatevector tail(cp.touched.size(), nl);
-        run_lane_group(cp, tail, base, first + g, batch_counts[b]);
-      }
-    }
+
+    // Terminal sampling: per-shot stream order is one uniform, then the
+    // readout flips. Pool slots each scan their own lane in one lane-major
+    // pass; the never-branched shots share the trunk, so their draws are
+    // sorted and emitted in one accumulate pass.
+    BatchWalker walker(steps, cp.touched.size(), std::min(lanes, count));
+    std::vector<double> x(walker.lanes());
+    std::vector<std::uint64_t> bits(std::max(walker.lanes(), count));
+    std::vector<std::pair<double, std::size_t>> draws;
+    auto emit = [&](std::uint64_t b, Rng& shot_rng) {
+      if (options_.readout_error) b = apply_readout_flips(b, cp, nm, shot_rng);
+      ++out[map_bits(b, cp)];
+    };
+    auto pool_done = [&](BatchWalker& w) {
+      obs::Span sample_span("executor.sample", &em.sample_ns);
+      for (std::size_t l = 0; l < w.lanes(); ++l)
+        if (w.active[l]) x[l] = w.slot_rng[l].uniform() * w.weight[l];
+      w.pool.sample_lanes(x.data(), w.active.data(), bits.data());
+      for (std::size_t l = 0; l < w.lanes(); ++l)
+        if (w.active[l]) emit(bits[l], w.slot_rng[l]);
+    };
+    auto trunk_done = [&](BatchWalker& w) {
+      obs::Span sample_span("executor.sample", &em.sample_ns);
+      draws.clear();
+      for (std::size_t i = 0; i < w.free_shot.size(); ++i)
+        draws.emplace_back(w.free_rng[i].uniform() * w.trunk_weight, i);
+      std::sort(draws.begin(), draws.end());
+      w.trunk.sample_sorted(0, draws.data(), draws.size(), bits.data());
+      for (std::size_t i = 0; i < w.free_shot.size(); ++i) emit(bits[i], w.free_rng[i]);
+    };
+    const std::size_t passes = walker.walk(base, first, count, tok, pool_done, trunk_done);
+    em.lane_groups.inc(passes);
+    pool_passes.fetch_add(passes, std::memory_order_relaxed);
   };
 
   // Throughput gauges cover the whole shot grid (all batches, all threads);
@@ -982,12 +1169,10 @@ sim::Counts Executor::run_trajectories(const CompiledProgram& cp, std::size_t sh
   if (t0 != 0) {
     const double secs = static_cast<double>(obs::now_ns() - t0) * 1e-9;
     if (secs > 0.0) {
-      ExecMetrics& em = ExecMetrics::get();
       em.trajectory_shots_per_s.set(
           static_cast<std::int64_t>(static_cast<double>(shots) / secs));
-      const std::size_t groups = lanes > 1 ? (shots + lanes - 1) / lanes : 0;
       em.lane_groups_per_s.set(
-          static_cast<std::int64_t>(static_cast<double>(groups) / secs));
+          static_cast<std::int64_t>(static_cast<double>(pool_passes.load()) / secs));
     }
   }
 
@@ -1031,8 +1216,8 @@ std::vector<double> Executor::density_distribution(const CompiledProgram& cp) co
       [&](const la::CMat& u, const std::vector<std::size_t>& locals) {
         dm.apply_matrix(u, locals);
       },
-      [&](const std::vector<std::size_t>& qubits, double p) {
-        dm.apply_depolarizing(qubits, p);
+      [&](const std::size_t* qubits, std::size_t n, double p) {
+        dm.apply_depolarizing({qubits, qubits + n}, p);
       });
 
   // Marginalize the exact distribution onto the measured bits.
@@ -1208,57 +1393,104 @@ double Executor::run_expectation(const Program& program, std::size_t shots, Rng&
   }
 
   // Per-batch accumulators, merged in batch order after the pool joins.
+  const bool expectation = spec.kind == ObjectiveKind::Expectation;
   std::vector<double> batch_acc;
   std::vector<double> batch_p;
-  if (spec.kind == ObjectiveKind::Expectation)
+  if (expectation)
     batch_acc.assign(num_batches, 0.0);
   else
     batch_p.assign(num_batches * mdim, 0.0);
 
+  const std::vector<NoiseStep> steps =
+      lanes > 1 ? record_noise_steps(cp, nm, dev_.readout_duration_dt(), options_.coherent_noise)
+                : std::vector<NoiseStep>{};
   const CancelToken* tok = options_.cancel.get();
   auto run_batch = [&](std::size_t b) {
     if (tok) tok->check();
     const std::size_t first = b * kShotsPerBatch;
     const std::size_t count = std::min(kShotsPerBatch, shots - first);
-    std::unique_ptr<sim::BatchedStatevector> full;
-    std::vector<double> num(lanes), den(lanes), mass;
-    for (std::size_t g = 0; g < count; g += lanes) {
-      if (tok) tok->check();
-      const std::size_t nl = std::min(lanes, count - g);
-      std::unique_ptr<sim::BatchedStatevector> tail;
-      sim::BatchedStatevector* bsv;
-      if (nl == lanes) {
-        if (full)
-          full->reset();
-        else
-          full = std::make_unique<sim::BatchedStatevector>(cp.touched.size(), lanes);
-        bsv = full.get();
-      } else {
-        tail = std::make_unique<sim::BatchedStatevector>(cp.touched.size(), nl);
-        bsv = tail.get();
-      }
-      evolve_lanes(dev_, options_, cp, *bsv, base, first + g);
-      if (spec.kind == ObjectiveKind::Expectation) {
-        // Per-shot normalized expectation (den carries the trajectory's
-        // deferred-normalization weight), summed in shot-ascending order.
-        bsv->weighted_masses(lvt.data(), num.data(), den.data());
-        for (std::size_t l = 0; l < nl; ++l) batch_acc[b] += num[l] / den[l];
-      } else {
-        // Per-shot normalized outcome distribution into the batch average.
-        mass.assign(mdim * nl, 0.0);
-        bsv->accumulate_mapped(lmap.data(), mass.data());
-        double* pb = &batch_p[b * mdim];
-        for (std::size_t l = 0; l < nl; ++l) {
-          double d = 0.0;
-          for (std::size_t j = 0; j < mdim; ++j) d += mass[j * nl + l];
-          for (std::size_t j = 0; j < mdim; ++j) pb[j] += mass[j * nl + l] / d;
+    // Per-shot terms, summed in shot order once every shot of the batch has
+    // terminated: a normalized expectation per shot (den carries the
+    // trajectory's deferred-normalization weight), or a normalized outcome
+    // distribution per shot — the shots that never branched share the
+    // trunk's row.
+    std::vector<double> term(expectation ? count : 0);
+    std::vector<double> dist(expectation ? 0 : count * mdim), trunk_row;
+    std::vector<const double*> row(expectation ? 0 : count);
+    std::vector<double> mass;
+    auto normalize = [&](const double* m, std::size_t stride, double* dst) {
+      double d = 0.0;
+      for (std::size_t j = 0; j < mdim; ++j) d += m[j * stride];
+      for (std::size_t j = 0; j < mdim; ++j) dst[j] = m[j * stride] / d;
+    };
+    auto keep_row = [&](std::size_t s, const double* m, std::size_t stride) {
+      normalize(m, stride, &dist[s * mdim]);
+      row[s] = &dist[s * mdim];
+    };
+
+    if (lanes <= 1) {
+      sim::Statevector sv(cp.touched.size());
+      for (std::size_t s = 0; s < count; ++s) {
+        if (tok) tok->check();
+        if (s != 0) sv.reset();
+        Rng shot_rng = Rng::child(base, first + s);
+        evolve_one_shot(cp, sv, shot_rng);
+        if (expectation) {
+          double num = 0.0, den = 0.0;
+          sv.weighted_mass(lvt.data(), num, den);
+          term[s] = num / den;
+        } else {
+          mass.assign(mdim, 0.0);
+          const la::CVec& amp = sv.data();
+          for (std::uint64_t i = 0; i < dim; ++i) {
+            const double ar = amp[i].real(), ai = amp[i].imag();
+            mass[lmap[i]] += ar * ar + ai * ai;
+          }
+          keep_row(s, mass.data(), 1);
         }
       }
+    } else {
+      BatchWalker walker(steps, cp.touched.size(), std::min(lanes, count));
+      std::vector<double> num(walker.lanes()), den(walker.lanes());
+      auto pool_done = [&](BatchWalker& w) {
+        const std::size_t nl = w.lanes();
+        if (expectation) {
+          w.pool.weighted_masses(lvt.data(), num.data(), den.data());
+          for (std::size_t l = 0; l < nl; ++l)
+            if (w.active[l]) term[w.slot_shot[l]] = num[l] / den[l];
+          return;
+        }
+        mass.assign(mdim * nl, 0.0);
+        w.pool.accumulate_mapped(lmap.data(), mass.data());
+        for (std::size_t l = 0; l < nl; ++l)
+          if (w.active[l]) keep_row(w.slot_shot[l], &mass[l], nl);
+      };
+      auto trunk_done = [&](BatchWalker& w) {
+        if (expectation) {
+          w.trunk.weighted_masses(lvt.data(), num.data(), den.data());
+          for (std::size_t s : w.free_shot) term[s] = num[0] / den[0];
+          return;
+        }
+        mass.assign(mdim, 0.0);
+        w.trunk.accumulate_mapped(lmap.data(), mass.data());
+        trunk_row.resize(mdim);
+        normalize(mass.data(), 1, trunk_row.data());
+        for (std::size_t s : w.free_shot) row[s] = trunk_row.data();
+      };
+      walker.walk(base, first, count, tok, pool_done, trunk_done);
+    }
+
+    if (expectation) {
+      for (std::size_t s = 0; s < count; ++s) batch_acc[b] += term[s];
+    } else {
+      double* pb = &batch_p[b * mdim];
+      for (std::size_t s = 0; s < count; ++s)
+        for (std::size_t j = 0; j < mdim; ++j) pb[j] += row[s][j];
     }
   };
   for_each_batch(num_batches, options_.num_threads, run_batch);
 
-  if (spec.kind == ObjectiveKind::Expectation) {
+  if (expectation) {
     double total = 0.0;
     for (std::size_t b = 0; b < num_batches; ++b) total += batch_acc[b];
     return total / static_cast<double>(shots);

@@ -66,7 +66,7 @@ struct ObjectiveSpec {
   bool cvar_maximize = true;
 };
 
-/// Default lockstep width of the batched trajectory engine — the sweet spot
+/// Default pool width of the trajectory batch walker — the sweet spot
 /// measured by bench_shotloop_timing at 12-14 qubits on one core.
 inline constexpr std::size_t kDefaultShotBatchLanes = 16;
 
@@ -84,12 +84,17 @@ struct ExecutorOptions {
   /// Worker threads for the trajectory shot loop (0 = hardware concurrency).
   /// Counts are identical for every value — threads only change wall clock.
   std::size_t num_threads = 0;
-  /// Trajectory lanes evolved in lockstep by the batched multi-shot
-  /// statevector: each gate applies once across all lanes of a shot group,
-  /// amortizing dispatch and turning the inner loop into unit-stride
-  /// vectorizable arithmetic. 0 or 1 falls back to the scalar per-shot
-  /// loop. Counts are bit-identical for every value (each shot's stochastic
-  /// branches draw from its own child stream in the scalar order).
+  /// Pool width of the trajectory batch walker. Within each 256-shot batch
+  /// the shots that have not yet taken a stochastic branch share one
+  /// single-lane trunk state, evolved once per step; a shot moves into one
+  /// of `shot_batch_lanes` pool slots of the batched multi-shot statevector
+  /// at its first Kraus branch, and the pool applies each gate once across
+  /// all its slots as unit-stride vectorizable arithmetic. A branch that
+  /// finds the pool full rewinds the unbranched shots to that step; the
+  /// pool runs to the end, and a new pool resumes from there. 0 or 1 falls
+  /// back to the scalar per-shot loop. Counts and objective values are
+  /// bit-identical for every value (each shot's stochastic branches draw
+  /// from its own child stream in the scalar order).
   std::size_t shot_batch_lanes = kDefaultShotBatchLanes;
   /// Compiled-block cache shared with other executors (serve::EvalService
   /// injects its process-wide cache here). Null = the executor creates a
@@ -118,11 +123,11 @@ struct ExecutorOptions {
   /// keep the unfused timeline so every noise event and RNG draw stays at
   /// its original position, bit for bit.
   std::size_t fusion_max_qubits = 2;
-  /// Cooperative cancellation: polled at shot-batch / lane-group boundaries
+  /// Cooperative cancellation: polled at shot-batch / pool-pass boundaries
   /// of the trajectory loops and at entry of the evaluation calls. When the
   /// token fires, the in-flight evaluation throws CancelledError — partial
   /// counts are discarded (a partial histogram would be biased), and the
-  /// worker is freed within one lane group. Null = never cancelled.
+  /// worker is freed within one pool pass. Null = never cancelled.
   std::shared_ptr<const CancelToken> cancel;
 };
 
@@ -237,19 +242,11 @@ class Executor {
 
   sim::Counts run_noiseless(const CompiledProgram& cp, std::size_t shots, Rng& rng) const;
   sim::Counts run_trajectories(const CompiledProgram& cp, std::size_t shots, Rng& rng) const;
-  /// One trajectory: evolve `sv` (already reset) through the timeline and
-  /// record a single readout into `out`.
-  void run_one_shot(const CompiledProgram& cp, sim::Statevector& sv, Rng& rng,
-                    sim::Counts& out) const;
-  /// bsv.lanes() trajectories in lockstep: deterministic blocks apply once
-  /// across all lanes, stochastic branches draw per lane from
-  /// Rng::child(rng_base, first_shot + lane) in the scalar path's order, and
-  /// terminal sampling does one probability pass (shared sorted pass for
-  /// lanes that took no stochastic branch). Counts land in `out` exactly as
-  /// if run_one_shot had run each lane's shot.
-  void run_lane_group(const CompiledProgram& cp, sim::BatchedStatevector& bsv,
-                      std::uint64_t rng_base, std::size_t first_shot,
-                      sim::Counts& out) const;
+  /// The scalar per-shot oracle (shot_batch_lanes <= 1): evolve `sv`
+  /// (already reset) through one trajectory and return its squared norm
+  /// (the state is kept unnormalized). The batch walker reproduces it bit
+  /// for bit.
+  double evolve_one_shot(const CompiledProgram& cp, sim::Statevector& sv, Rng& rng) const;
   sim::Counts run_exact_density(const CompiledProgram& cp, std::size_t shots, Rng& rng) const;
   /// The exact-density outcome distribution over the measured bits,
   /// marginalized and readout-folded — shared by run_exact_density (which

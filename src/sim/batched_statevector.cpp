@@ -49,6 +49,17 @@ void BatchedStatevector::set_amplitude(std::uint64_t i, std::size_t lane, cxd a)
   im_[i * lanes_ + lane] = a.imag();
 }
 
+void BatchedStatevector::copy_lane_from(const BatchedStatevector& src, std::size_t src_lane,
+                                        std::size_t lane) {
+  HGP_REQUIRE(src.dim_ == dim_ && src_lane < src.lanes_ && lane < lanes_,
+              "copy_lane_from: out of range");
+  const std::size_t L = lanes_, SL = src.lanes_;
+  for (std::uint64_t i = 0; i < dim_; ++i) {
+    re_[i * L + lane] = src.re_[i * SL + src_lane];
+    im_[i * L + lane] = src.im_[i * SL + src_lane];
+  }
+}
+
 namespace {
 
 /// row *= c for every lane (mirror of amp[i] *= c).

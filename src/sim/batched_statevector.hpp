@@ -39,6 +39,11 @@ class BatchedStatevector {
   la::cxd amplitude(std::uint64_t i, std::size_t lane) const;
   void set_amplitude(std::uint64_t i, std::size_t lane, la::cxd a);
 
+  /// Overwrite lane `lane` with lane `src_lane` of `src` (same register
+  /// size): how a trajectory leaves the shared unbranched state for its own
+  /// slot.
+  void copy_lane_from(const BatchedStatevector& src, std::size_t src_lane, std::size_t lane);
+
   // ---- broadcast operations (same operator, every lane) ----
 
   /// Apply a dense k-qubit operator to every lane (first listed qubit =

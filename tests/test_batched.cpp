@@ -9,6 +9,10 @@
 #include "backend/presets.hpp"
 #include "common/rng.hpp"
 #include "core/executor.hpp"
+#include "core/models.hpp"
+#include "graph/instances.hpp"
+#include "obs/metrics.hpp"
+#include "obs/obs.hpp"
 #include "sim/batched_statevector.hpp"
 #include "sim/statevector.hpp"
 
@@ -77,6 +81,54 @@ la::CMat rotation(double theta) {
   r(1, 0) = std::sin(theta);
   r(1, 1) = std::cos(theta);
   return r;
+}
+
+/// Everything one evaluation configuration yields for a program: run()
+/// counts plus the trajectory expectation and CVaR objectives.
+struct Evaluation {
+  sim::Counts counts;
+  double expectation = 0.0;
+  double cvar = 0.0;
+};
+
+Evaluation evaluate(const backend::FakeBackend& dev, const Program& prog,
+                    const graph::Graph& g, std::size_t lanes, std::size_t threads,
+                    std::size_t shots, std::shared_ptr<serve::BlockCache> cache) {
+  ExecutorOptions opts;
+  opts.shot_batch_lanes = lanes;
+  opts.num_threads = threads;
+  opts.block_cache = std::move(cache);
+  Executor ex(dev, opts);
+  core::ObjectiveSpec spec;
+  spec.value = [&g](std::uint64_t bits) { return g.cut_value(bits); };
+  Evaluation e;
+  Rng rng(2024);
+  e.counts = ex.run(prog, shots, rng);
+  spec.kind = core::ObjectiveKind::Expectation;
+  e.expectation = ex.run_expectation(prog, shots, rng, spec);
+  spec.kind = core::ObjectiveKind::CVaR;
+  e.cvar = ex.run_expectation(prog, shots, rng, spec);
+  return e;
+}
+
+/// The walker's configurations against the scalar per-shot oracle
+/// (lanes = 1, one thread), bit for bit.
+void expect_matches_oracle(const backend::FakeBackend& dev, const Program& prog,
+                           const graph::Graph& g, std::size_t shots,
+                           const std::vector<std::size_t>& lane_counts,
+                           const std::vector<std::size_t>& thread_counts,
+                           const std::string& label) {
+  auto cache = std::make_shared<serve::BlockCache>(512);
+  const Evaluation oracle = evaluate(dev, prog, g, 1, 1, shots, cache);
+  ASSERT_EQ(total_shots(oracle.counts), shots) << label;
+  for (std::size_t lanes : lane_counts)
+    for (std::size_t threads : thread_counts) {
+      const Evaluation e = evaluate(dev, prog, g, lanes, threads, shots, cache);
+      EXPECT_EQ(e.counts, oracle.counts) << label << " lanes=" << lanes << " threads=" << threads;
+      EXPECT_EQ(e.expectation, oracle.expectation)
+          << label << " lanes=" << lanes << " threads=" << threads;
+      EXPECT_EQ(e.cvar, oracle.cvar) << label << " lanes=" << lanes << " threads=" << threads;
+    }
 }
 
 }  // namespace
@@ -356,4 +408,63 @@ TEST(BatchedTrajectories, LargeDepolarizingRatesStayBitIdenticalToScalar) {
   EXPECT_EQ(total_shots(reference), 600u);
   for (std::size_t lanes : {4u, 7u, 32u})
     EXPECT_EQ(run(lanes), reference) << "lanes=" << lanes;
+}
+
+// ---- the batch walker: trunk, pool and resume points -------------------------
+
+TEST(BatchedTrajectories, PaperTask1ProgramsBitIdenticalToScalarOracle) {
+  // The paper's task-1 programs on every preset, gate-level and hybrid, with
+  // and without gate optimization: run() counts and both trajectory
+  // objectives of the batch walker match the scalar per-shot oracle.
+  const auto inst = graph::paper_task1();
+  for (const char* name : {"ibm_auckland", "ibmq_toronto", "ibmq_guadalupe"}) {
+    const backend::FakeBackend dev = backend::make_backend(name);
+    for (const core::ModelKind kind : {core::ModelKind::GateLevel, core::ModelKind::Hybrid})
+      for (const bool go : {false, true}) {
+        core::ModelConfig mcfg;
+        mcfg.gate_optimization = go;
+        const core::QaoaModel model = core::QaoaModel::build(inst.graph, dev, kind, mcfg);
+        const Program prog = model.instantiate(model.initial_parameters());
+        expect_matches_oracle(dev, prog, inst.graph, 1024, {4, 7, 16}, {1, 4},
+                              std::string(name) + "/" + core::model_name(kind) +
+                                  (go ? "/go" : "/raw"));
+      }
+  }
+}
+
+TEST(BatchedTrajectories, PoolOverflowResumesBitIdentically) {
+  // One CX charged at a 0.9 depolarizing rate: most of a batch's shots take
+  // their first branch at that one op, far more than the pool holds, so the
+  // walker freezes the trunk there, runs the full pool out and resumes
+  // again and again — and still reproduces the oracle.
+  backend::FakeBackend dev = backend::make_toronto();
+  dev.mutable_noise_model().dep_per_2q_block = 0.9;
+  const Program prog = ladder_program(2);
+  graph::Graph g(2);
+  g.add_edge(0, 1);
+
+  obs::Counter& resumes = obs::Registry::global().counter("executor.pool_resumes");
+  obs::Counter& trunk = obs::Registry::global().counter("executor.trunk_shots");
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  const std::uint64_t resumes_before = resumes.value();
+  const std::uint64_t trunk_before = trunk.value();
+  expect_matches_oracle(dev, prog, g, 600, {4, 7, 16}, {1, 4}, "overflow");
+  obs::set_enabled(was_enabled);
+  // The telemetry saw the overflows, and the shots that never branched.
+  EXPECT_GT(resumes.value() - resumes_before, 0u);
+  EXPECT_GT(trunk.value() - trunk_before, 0u);
+}
+
+TEST(BatchedTrajectories, TailBatchesBitIdenticalToScalarOracle) {
+  // Shot counts that leave a partial last batch, including one smaller than
+  // every pool width tried.
+  const auto inst = graph::paper_task1();
+  const backend::FakeBackend dev = backend::make_toronto();
+  const core::QaoaModel model =
+      core::QaoaModel::build(inst.graph, dev, core::ModelKind::Hybrid, core::ModelConfig{});
+  const Program prog = model.instantiate(model.initial_parameters());
+  for (std::size_t shots : {261u, 300u, 5u})
+    expect_matches_oracle(dev, prog, inst.graph, shots, {4, 7, 16}, {1, 2},
+                          "shots=" + std::to_string(shots));
 }

@@ -36,8 +36,9 @@ import os
 import sys
 
 # Dimensionless ratio fields gated per bench file. Higher is better for all.
+# A dotted name ("task1.speedup") reads a field of a nested case object.
 SPEEDUP_FIELDS = {
-    "BENCH_shotloop.json": ["speedup"],
+    "BENCH_shotloop.json": ["speedup", "task1.speedup"],
     "BENCH_sweep.json": ["speedup"],
     "BENCH_pulse.json": ["speedup", "ir_speedup"],
     "BENCH_gradient.json": ["expectation_speedup", "gradient_speedup"],
@@ -57,6 +58,15 @@ BENCH_FILES = sorted(set(SPEEDUP_FIELDS) | set(OVERHEAD_FIELDS))
 def load(path):
     with open(path, encoding="utf-8") as f:
         return json.load(f)
+
+
+def get_field(doc, dotted):
+    """The value at a dotted path of nested objects, or None."""
+    for key in dotted.split("."):
+        if not isinstance(doc, dict):
+            return None
+        doc = doc.get(key)
+    return doc
 
 
 def find_bit_identical_flags(obj, prefix=""):
@@ -105,8 +115,8 @@ def check_baselines(baseline_dir, current_dir, tol):
                 failures.append(f"{name}: {path} is {value} (determinism regression)")
 
         for field in SPEEDUP_FIELDS.get(name, []):
-            base = baseline.get(field)
-            cur = current.get(field)
+            base = get_field(baseline, field)
+            cur = get_field(current, field)
             if not isinstance(base, (int, float)):
                 failures.append(f"{name}: baseline lacks numeric '{field}'")
                 continue
