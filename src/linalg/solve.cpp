@@ -98,9 +98,12 @@ GmresResult gmres(const std::function<std::vector<double>(const std::vector<doub
         h[j][k] = ddot(w, v[j]);
         for (std::size_t i = 0; i < n; ++i) w[i] -= h[j][k] * v[j][i];
       }
-      h[k + 1][k] = dnrm2(w);
-      if (h[k + 1][k] > 1e-14) {
-        for (double& x : w) x /= h[k + 1][k];
+      // The Arnoldi subdiagonal, kept for the breakdown test: the Givens
+      // step below zeroes h[k + 1][k] itself.
+      const double subdiag = dnrm2(w);
+      h[k + 1][k] = subdiag;
+      if (subdiag > 1e-14) {
+        for (double& x : w) x /= subdiag;
         v.push_back(w);
       }
       // Apply previous Givens rotations to the new column.
@@ -122,7 +125,7 @@ GmresResult gmres(const std::function<std::vector<double>(const std::vector<doub
       g[k] = cs[k] * g[k];
       ++total_iters;
       out.residual = std::abs(g[k + 1]) / bnorm;
-      if (out.residual < tol || h[k + 1][k] == 0.0) {
+      if (out.residual < tol || subdiag == 0.0) {
         ++k;
         break;
       }

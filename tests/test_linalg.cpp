@@ -184,6 +184,32 @@ TEST(Gmres, SolvesDiagonallyDominantSystem) {
   EXPECT_LT(err, 1e-8);
 }
 
+TEST(Linalg, GmresRestartConvergesWhereGmres1Stagnates) {
+  // Cyclic shift e_i -> e_{i+1 mod n} with b = e_0: A b is orthogonal to b,
+  // so one Arnoldi step per cycle can never reduce the residual, while a
+  // full-length cycle spans the whole space and solves the system in n
+  // steps (x = e_{n-1}).
+  const std::size_t n = 8;
+  auto shift = [n](const std::vector<double>& v) {
+    std::vector<double> out(n);
+    for (std::size_t i = 0; i < n; ++i) out[(i + 1) % n] = v[i];
+    return out;
+  };
+  std::vector<double> b(n, 0.0);
+  b[0] = 1.0;
+
+  const la::GmresResult stalled = la::gmres(shift, b, 50, 1e-12, 1);
+  EXPECT_FALSE(stalled.converged);
+  EXPECT_NEAR(stalled.residual, 1.0, 1e-12);
+
+  const la::GmresResult full = la::gmres(shift, b, static_cast<int>(n), 1e-12,
+                                         static_cast<int>(n));
+  EXPECT_TRUE(full.converged);
+  EXPECT_EQ(full.iterations, static_cast<int>(n));
+  for (std::size_t i = 0; i < n; ++i)
+    EXPECT_NEAR(full.x[i], i == n - 1 ? 1.0 : 0.0, 1e-12) << "i=" << i;
+}
+
 TEST(Pauli, ParseRoundTrip) {
   const la::PauliString p = la::PauliString::parse("ZIXY");
   EXPECT_EQ(p.num_qubits(), 4u);

@@ -96,6 +96,50 @@ TEST(M3, PrecomputedMatrixBitIdenticalToEntrywiseFormula) {
   }
 }
 
+TEST(M3, AgreesWithDenseSolveOfTheRestrictedSystem) {
+  // The GMRES solution against a dense LU solve of the same column-normalized
+  // k x k system over the observed bitstrings.
+  Rng rng(31);
+  const std::size_t n = 6;
+  std::vector<ReadoutError> errors(n);
+  for (ReadoutError& e : errors) e = {rng.uniform(0.01, 0.06), rng.uniform(0.02, 0.09)};
+  Counts counts;
+  for (int s = 0; s < 2000; ++s) {
+    std::uint64_t bits = 0;
+    for (std::size_t q = 0; q < n; ++q)
+      if (rng.bernoulli(q % 2 == 0 ? 0.2 : 0.7)) bits |= std::uint64_t{1} << q;
+    ++counts[bits];
+  }
+  std::vector<std::uint64_t> keys;
+  for (const auto& [bits, c] : counts) keys.push_back(bits);
+  const std::size_t k = keys.size();
+  la::CMat a(k, k);
+  for (std::size_t i = 0; i < k; ++i)
+    for (std::size_t j = 0; j < k; ++j) {
+      double p = 1.0;
+      for (std::size_t q = 0; q < n; ++q) {
+        const bool measured = (keys[i] >> q) & 1, truth = (keys[j] >> q) & 1;
+        const ReadoutError& e = errors[q];
+        p *= truth ? (measured ? 1.0 - e.p0_given_1 : e.p0_given_1)
+                   : (measured ? e.p1_given_0 : 1.0 - e.p1_given_0);
+      }
+      a(i, j) = p;
+    }
+  for (std::size_t j = 0; j < k; ++j) {
+    double norm = 0.0;
+    for (std::size_t i = 0; i < k; ++i) norm += a(i, j).real();
+    for (std::size_t i = 0; i < k; ++i) a(i, j) /= norm;
+  }
+  la::CVec p_noisy(k);
+  for (std::size_t i = 0; i < k; ++i) p_noisy[i] = counts.at(keys[i]) / 2000.0;
+  const la::CVec dense = la::lu_solve(a, p_noisy);
+
+  const mit::QuasiDistribution quasi = M3Mitigator(errors).mitigate(counts);
+  EXPECT_TRUE(quasi.converged);
+  for (std::size_t i = 0; i < k; ++i)
+    EXPECT_NEAR(quasi.probs.at(keys[i]), dense[i].real(), 1e-9) << "key " << keys[i];
+}
+
 TEST(M3, IdentityWhenNoReadoutError) {
   const std::vector<ReadoutError> errors = {{0.0, 0.0}, {0.0, 0.0}};
   const M3Mitigator m3(errors);
