@@ -289,44 +289,55 @@ void walk_noise_timeline(const CompiledProgram& cp, double dep1, double dep2,
     relax(lq, cp.makespan_dt - cp.clock[lq] + readout_dt);
 }
 
-/// One step of the trajectory noise walk, recorded once per run from
-/// walk_noise_timeline: the batch walker resumes at any step by index, and
-/// relaxation constants and drift phases are computed once per (slot, qubit)
-/// with the same function and arguments as the per-shot walk.
-struct NoiseStep {
+/// The trajectory noise walk of a compiled program, recorded once per run
+/// from walk_noise_timeline: the batch walker resumes at any step by index,
+/// and relaxation constants and drift phases are computed once per (slot,
+/// qubit) with the same function and arguments as the per-shot walk. A step
+/// is its kind, its qubits and an index into that kind's table, so the
+/// recording stays a few kilobytes per program.
+struct NoiseWalk {
   enum class Kind : std::uint8_t { Apply, Phase, Relax, Depolarize };
-  Kind kind = Kind::Apply;
-  /// Phase / Relax act on q[0]; Depolarize charges q[0 .. nq).
-  std::array<std::size_t, 2> q{};
-  std::size_t nq = 0;
-  const la::CMat* unitary = nullptr;                 // Apply
-  const std::vector<std::size_t>* locals = nullptr;  // Apply
-  la::cxd ratio{1.0, 0.0};                           // Phase
-  noise::RelaxationConstants rc;                     // Relax
-  double p = 0.0;                                    // Depolarize
+  struct Step {
+    Kind kind = Kind::Apply;
+    /// Depolarize charges q[0 .. nq); Phase and Relax act on q[0].
+    std::uint8_t nq = 0;
+    std::array<std::uint8_t, 2> q{};
+    /// Index into the table of the step's kind.
+    std::uint32_t arg = 0;
+  };
+  /// Block application; both point into the recorded CompiledProgram.
+  struct Apply {
+    const la::CMat* unitary;
+    const std::vector<std::size_t>* locals;
+  };
+  std::vector<Step> steps;
+  std::vector<Apply> applies;
+  std::vector<la::cxd> ratios;
+  std::vector<noise::RelaxationConstants> relax;
+  std::vector<double> dep_p;
 };
 
-/// The trajectory noise walk of `cp` as a flat step list. Apply steps point
-/// into `cp`, which must outlive the list.
-std::vector<NoiseStep> record_noise_steps(const CompiledProgram& cp,
-                                          const noise::NoiseModel& nm, int readout_dt,
-                                          bool coherent_noise) {
-  std::vector<NoiseStep> steps;
+/// Record the trajectory noise walk of `cp`, which must outlive the result.
+NoiseWalk record_noise_walk(const CompiledProgram& cp, const noise::NoiseModel& nm,
+                            int readout_dt, bool coherent_noise) {
+  NoiseWalk w;
+  auto add = [&](NoiseWalk::Kind kind, std::size_t arg, std::size_t lq) {
+    NoiseWalk::Step st;
+    st.kind = kind;
+    st.q[0] = static_cast<std::uint8_t>(lq);
+    st.arg = static_cast<std::uint32_t>(arg);
+    w.steps.push_back(st);
+  };
   auto phase = [&](std::size_t lq, la::cxd ratio) {
-    NoiseStep st;
-    st.kind = NoiseStep::Kind::Phase;
-    st.q[0] = lq;
-    st.ratio = ratio;
-    steps.push_back(st);
+    add(NoiseWalk::Kind::Phase, w.ratios.size(), lq);
+    w.ratios.push_back(ratio);
   };
   auto relax = [&](std::size_t lq, int duration_dt) {
     if (duration_dt <= 0) return;
     const noise::QubitNoise& qn = nm.qubits[cp.touched[lq]];
-    NoiseStep st;
-    st.kind = NoiseStep::Kind::Relax;
-    st.q[0] = lq;
-    st.rc = noise::relaxation_constants(qn.t1_us, qn.t2_us, duration_dt * pulse::kDtNs);
-    steps.push_back(st);
+    add(NoiseWalk::Kind::Relax, w.relax.size(), lq);
+    w.relax.push_back(
+        noise::relaxation_constants(qn.t1_us, qn.t2_us, duration_dt * pulse::kDtNs));
   };
   auto idle_drift = [&](std::size_t lq, int duration_dt) {
     if (duration_dt <= 0 || !coherent_noise) return;
@@ -339,21 +350,17 @@ std::vector<NoiseStep> record_noise_steps(const CompiledProgram& cp,
       cp, nm.dep_per_1q_pulse, nm.dep_per_2q_block, readout_dt, relax, idle_drift,
       [&](std::size_t lq, la::cxd ratio, const la::CMat&) { phase(lq, ratio); },
       [&](const la::CMat& u, const std::vector<std::size_t>& locals) {
-        NoiseStep st;
-        st.kind = NoiseStep::Kind::Apply;
-        st.unitary = &u;
-        st.locals = &locals;
-        steps.push_back(st);
+        add(NoiseWalk::Kind::Apply, w.applies.size(), 0);
+        w.applies.push_back({&u, &locals});
       },
       [&](const std::size_t* qubits, std::size_t n, double p) {
-        NoiseStep st;
-        st.kind = NoiseStep::Kind::Depolarize;
-        st.nq = n;
-        for (std::size_t i = 0; i < n; ++i) st.q[i] = qubits[i];
-        st.p = p;
-        steps.push_back(st);
+        add(NoiseWalk::Kind::Depolarize, w.dep_p.size(), qubits[0]);
+        NoiseWalk::Step& st = w.steps.back();
+        st.nq = static_cast<std::uint8_t>(n);
+        if (n > 1) st.q[1] = static_cast<std::uint8_t>(qubits[1]);
+        w.dep_p.push_back(p);
       });
-  return steps;
+  return w;
 }
 
 /// The shot-batch walker of the trajectory engine (shot_batch_lanes >= 2).
@@ -376,14 +383,14 @@ std::vector<NoiseStep> record_noise_steps(const CompiledProgram& cp,
 /// scalar engine. State memory is the pool plus the one trunk lane.
 class BatchWalker {
  public:
-  BatchWalker(const std::vector<NoiseStep>& steps, std::size_t num_qubits, std::size_t lanes)
+  BatchWalker(const NoiseWalk& walk, std::size_t num_qubits, std::size_t lanes)
       : trunk(num_qubits, 1),
         pool(num_qubits, lanes),
         active(lanes, 0),
         slot_shot(lanes, 0),
         slot_rng(lanes),
         weight(lanes, 1.0),
-        steps_(steps),
+        walk_(walk),
         lanes_(lanes),
         x_(lanes),
         m1_(lanes),
@@ -431,7 +438,7 @@ class BatchWalker {
       n_active_ = 0;
       frozen_ = false;
       obs::Span evolve_span("executor.lane_evolve", &em.lane_evolve_ns);
-      for (std::size_t k = start; k < steps_.size(); ++k) step(k);
+      for (std::size_t k = start; k < walk_.steps.size(); ++k) step(k);
       evolve_span.finish();
       ++passes;
       if (n_active_ != 0) pool_done(*this);
@@ -464,21 +471,23 @@ class BatchWalker {
 
  private:
   void step(std::size_t k) {
-    const NoiseStep& st = steps_[k];
+    const NoiseWalk::Step& st = walk_.steps[k];
     switch (st.kind) {
-      case NoiseStep::Kind::Apply:
-        if (n_active_ != 0) pool.apply_matrix(*st.unitary, *st.locals);
-        if (!frozen_) trunk.apply_matrix(*st.unitary, *st.locals);
+      case NoiseWalk::Kind::Apply: {
+        const NoiseWalk::Apply& a = walk_.applies[st.arg];
+        if (n_active_ != 0) pool.apply_matrix(*a.unitary, *a.locals);
+        if (!frozen_) trunk.apply_matrix(*a.unitary, *a.locals);
         return;
-      case NoiseStep::Kind::Phase:
-        if (n_active_ != 0) pool.apply_phase_ratio(st.q[0], st.ratio);
-        if (!frozen_) trunk.apply_phase_ratio(st.q[0], st.ratio);
+      }
+      case NoiseWalk::Kind::Phase:
+        if (n_active_ != 0) pool.apply_phase_ratio(st.q[0], walk_.ratios[st.arg]);
+        if (!frozen_) trunk.apply_phase_ratio(st.q[0], walk_.ratios[st.arg]);
         return;
-      case NoiseStep::Kind::Relax:
-        relax(st, k);
+      case NoiseWalk::Kind::Relax:
+        relax(walk_.relax[st.arg], st.q[0], k);
         return;
-      case NoiseStep::Kind::Depolarize:
-        depolarize(st, k);
+      case NoiseWalk::Kind::Depolarize:
+        depolarize(st, walk_.dep_p[st.arg], k);
         return;
     }
   }
@@ -517,9 +526,7 @@ class BatchWalker {
     }
   }
 
-  void relax(const NoiseStep& st, std::size_t k) {
-    const noise::RelaxationConstants& rc = st.rc;
-    const std::size_t lq = st.q[0];
+  void relax(const noise::RelaxationConstants& rc, std::size_t lq, std::size_t k) {
     const bool damping = rc.gamma > 0.0;
     // Draw phase (scalar per-shot order): one uniform for the damping branch
     // when gamma > 0, then one bernoulli for dephasing. The jump shortcut is
@@ -622,14 +629,14 @@ class BatchWalker {
   // charged slot keeps the strided per-lane apply. Both are bitwise
   // identical to the per-shot path, so the grouping is purely a throughput
   // choice.
-  void depolarize(const NoiseStep& st, std::size_t k) {
+  void depolarize(const NoiseWalk::Step& st, double p, std::size_t k) {
     for (std::size_t l = 0; l < lanes_; ++l)
-      picks_[l] = active[l] ? noise::sample_depolarizing(st.nq, st.p, slot_rng[l]) : 0;
+      picks_[l] = active[l] ? noise::sample_depolarizing(st.nq, p, slot_rng[l]) : 0;
     if (!frozen_) {
       std::size_t n_branch = 0;
       for (std::size_t i = 0; i < free_shot.size(); ++i) {
         saved_[i] = free_rng[i];
-        fpick_[i] = noise::sample_depolarizing(st.nq, st.p, free_rng[i]);
+        fpick_[i] = noise::sample_depolarizing(st.nq, p, free_rng[i]);
         branch_[i] = fpick_[i] != 0;
         n_branch += branch_[i];
       }
@@ -659,7 +666,7 @@ class BatchWalker {
     }
   }
 
-  const std::vector<NoiseStep>& steps_;
+  const NoiseWalk& walk_;
   const std::size_t lanes_;
   std::size_t n_active_ = 0;
   bool frozen_ = false;
@@ -1096,9 +1103,9 @@ sim::Counts Executor::run_trajectories(const CompiledProgram& cp, std::size_t sh
   const std::uint64_t base = rng.next_u64();
   const std::size_t lanes = std::max<std::size_t>(std::size_t{1}, options_.shot_batch_lanes);
   const noise::NoiseModel& nm = dev_.noise_model();
-  const std::vector<NoiseStep> steps =
-      lanes > 1 ? record_noise_steps(cp, nm, dev_.readout_duration_dt(), options_.coherent_noise)
-                : std::vector<NoiseStep>{};
+  const NoiseWalk walk = lanes > 1 ? record_noise_walk(cp, nm, dev_.readout_duration_dt(),
+                                                      options_.coherent_noise)
+                                   : NoiseWalk{};
 
   ExecMetrics& em = ExecMetrics::get();
   std::vector<sim::Counts> batch_counts(num_batches);
@@ -1132,7 +1139,7 @@ sim::Counts Executor::run_trajectories(const CompiledProgram& cp, std::size_t sh
     // readout flips. Pool slots each scan their own lane in one lane-major
     // pass; the never-branched shots share the trunk, so their draws are
     // sorted and emitted in one accumulate pass.
-    BatchWalker walker(steps, cp.touched.size(), std::min(lanes, count));
+    BatchWalker walker(walk, cp.touched.size(), std::min(lanes, count));
     std::vector<double> x(walker.lanes());
     std::vector<std::uint64_t> bits(std::max(walker.lanes(), count));
     std::vector<std::pair<double, std::size_t>> draws;
@@ -1401,9 +1408,9 @@ double Executor::run_expectation(const Program& program, std::size_t shots, Rng&
   else
     batch_p.assign(num_batches * mdim, 0.0);
 
-  const std::vector<NoiseStep> steps =
-      lanes > 1 ? record_noise_steps(cp, nm, dev_.readout_duration_dt(), options_.coherent_noise)
-                : std::vector<NoiseStep>{};
+  const NoiseWalk walk = lanes > 1 ? record_noise_walk(cp, nm, dev_.readout_duration_dt(),
+                                                      options_.coherent_noise)
+                                   : NoiseWalk{};
   const CancelToken* tok = options_.cancel.get();
   auto run_batch = [&](std::size_t b) {
     if (tok) tok->check();
@@ -1450,7 +1457,7 @@ double Executor::run_expectation(const Program& program, std::size_t shots, Rng&
         }
       }
     } else {
-      BatchWalker walker(steps, cp.touched.size(), std::min(lanes, count));
+      BatchWalker walker(walk, cp.touched.size(), std::min(lanes, count));
       std::vector<double> num(walker.lanes()), den(walker.lanes());
       auto pool_done = [&](BatchWalker& w) {
         const std::size_t nl = w.lanes();
