@@ -1103,9 +1103,9 @@ sim::Counts Executor::run_trajectories(const CompiledProgram& cp, std::size_t sh
   const std::uint64_t base = rng.next_u64();
   const std::size_t lanes = std::max<std::size_t>(std::size_t{1}, options_.shot_batch_lanes);
   const noise::NoiseModel& nm = dev_.noise_model();
-  const NoiseWalk walk = lanes > 1 ? record_noise_walk(cp, nm, dev_.readout_duration_dt(),
-                                                      options_.coherent_noise)
-                                   : NoiseWalk{};
+  const NoiseWalk noise_walk = lanes > 1 ? record_noise_walk(cp, nm, dev_.readout_duration_dt(),
+                                                            options_.coherent_noise)
+                                         : NoiseWalk{};
 
   ExecMetrics& em = ExecMetrics::get();
   std::vector<sim::Counts> batch_counts(num_batches);
@@ -1119,7 +1119,6 @@ sim::Counts Executor::run_trajectories(const CompiledProgram& cp, std::size_t sh
     const std::size_t first = b * kShotsPerBatch;
     const std::size_t count = std::min(kShotsPerBatch, shots - first);
     sim::Counts& out = batch_counts[b];
-    em.shots.inc(count);
     if (lanes <= 1) {
       // Scalar fallback: one shot at a time on a reused statevector.
       sim::Statevector sv(cp.touched.size());
@@ -1132,6 +1131,7 @@ sim::Counts Executor::run_trajectories(const CompiledProgram& cp, std::size_t sh
         if (options_.readout_error) bits = apply_readout_flips(bits, cp, nm, shot_rng);
         ++out[map_bits(bits, cp)];
       }
+      em.shots.inc(count);
       return;
     }
 
@@ -1139,13 +1139,13 @@ sim::Counts Executor::run_trajectories(const CompiledProgram& cp, std::size_t sh
     // readout flips. Pool slots each scan their own lane in one lane-major
     // pass; the never-branched shots share the trunk, so their draws are
     // sorted and emitted in one accumulate pass.
-    BatchWalker walker(walk, cp.touched.size(), std::min(lanes, count));
+    BatchWalker walker(noise_walk, cp.touched.size(), std::min(lanes, count));
     std::vector<double> x(walker.lanes());
     std::vector<std::uint64_t> bits(std::max(walker.lanes(), count));
     std::vector<std::pair<double, std::size_t>> draws;
-    auto emit = [&](std::uint64_t b, Rng& shot_rng) {
-      if (options_.readout_error) b = apply_readout_flips(b, cp, nm, shot_rng);
-      ++out[map_bits(b, cp)];
+    auto emit = [&](std::uint64_t outcome, Rng& shot_rng) {
+      if (options_.readout_error) outcome = apply_readout_flips(outcome, cp, nm, shot_rng);
+      ++out[map_bits(outcome, cp)];
     };
     auto pool_done = [&](BatchWalker& w) {
       obs::Span sample_span("executor.sample", &em.sample_ns);
@@ -1165,6 +1165,7 @@ sim::Counts Executor::run_trajectories(const CompiledProgram& cp, std::size_t sh
       for (std::size_t i = 0; i < w.free_shot.size(); ++i) emit(bits[i], w.free_rng[i]);
     };
     const std::size_t passes = walker.walk(base, first, count, tok, pool_done, trunk_done);
+    em.shots.inc(count);
     em.lane_groups.inc(passes);
     pool_passes.fetch_add(passes, std::memory_order_relaxed);
   };
@@ -1408,9 +1409,9 @@ double Executor::run_expectation(const Program& program, std::size_t shots, Rng&
   else
     batch_p.assign(num_batches * mdim, 0.0);
 
-  const NoiseWalk walk = lanes > 1 ? record_noise_walk(cp, nm, dev_.readout_duration_dt(),
-                                                      options_.coherent_noise)
-                                   : NoiseWalk{};
+  const NoiseWalk noise_walk = lanes > 1 ? record_noise_walk(cp, nm, dev_.readout_duration_dt(),
+                                                            options_.coherent_noise)
+                                         : NoiseWalk{};
   const CancelToken* tok = options_.cancel.get();
   auto run_batch = [&](std::size_t b) {
     if (tok) tok->check();
@@ -1457,7 +1458,7 @@ double Executor::run_expectation(const Program& program, std::size_t shots, Rng&
         }
       }
     } else {
-      BatchWalker walker(walk, cp.touched.size(), std::min(lanes, count));
+      BatchWalker walker(noise_walk, cp.touched.size(), std::min(lanes, count));
       std::vector<double> num(walker.lanes()), den(walker.lanes());
       auto pool_done = [&](BatchWalker& w) {
         const std::size_t nl = w.lanes();
