@@ -374,9 +374,10 @@ NoiseWalk record_noise_walk(const CompiledProgram& cp, const noise::NoiseModel& 
 ///    branches: the pre-step trunk is copied in and the shot takes its
 ///    branch in the pool's per-slot step;
 ///  - a resume point, for a branching shot that finds the pool full: the
-///    trunk stays frozen before that step and the still-unbranched shots'
-///    streams are rewound to it. The full pool runs to the end and
-///    terminates, then a new pool resumes from that step.
+///    trunk stays frozen before that step and the still-unbranched shots
+///    keep their draws of it. The full pool runs to the end and terminates,
+///    then a new pool resumes from that step, placing the shots those draws
+///    branch without drawing again.
 /// Unbranched shots still make every draw from their own child stream in the
 /// scalar per-shot order and decide jumps against the trunk's weight and
 /// |1>-mass, so each shot draws, branches and evolves exactly as in the
@@ -420,7 +421,6 @@ class BatchWalker {
       free_shot.push_back(s);
       free_rng.push_back(Rng::child(base, first + s));
     }
-    saved_.resize(count);
     fx_.resize(count);
     fpick_.resize(count);
     fprecheck_.resize(count);
@@ -431,6 +431,7 @@ class BatchWalker {
     // decisions (no atomics, no clock), flushed once per batch.
     n_jumps_ = n_flips_ = n_pauli_ = 0;
     std::size_t passes = 0, start = 0;
+    redo_ = walk_.steps.size();
     ExecMetrics& em = ExecMetrics::get();
     for (;;) {
       if (tok) tok->check();
@@ -443,7 +444,7 @@ class BatchWalker {
       ++passes;
       if (n_active_ != 0) pool_done(*this);
       if (!frozen_) break;
-      start = resume_;
+      start = redo_ = resume_;
     }
     if (!free_shot.empty()) trunk_done(*this);
 
@@ -494,8 +495,8 @@ class BatchWalker {
 
   /// Move the unbranched shots with branch_[i] set into free pool slots, in
   /// shot order; take(i, slot) hands over the step's draws. When they do not
-  /// all fit, the rest of the unbranched shots rewind to their pre-step
-  /// streams and the trunk freezes before step k.
+  /// all fit, the trunk freezes before step k and the rest of the unbranched
+  /// shots keep their step-k draws and branch flags for the resumed pass.
   template <typename Take>
   void place(std::size_t k, std::size_t n_branch, Take&& take) {
     const std::size_t room = lanes_ - n_active_;
@@ -514,7 +515,14 @@ class BatchWalker {
         continue;
       }
       free_shot[kept] = free_shot[i];
-      free_rng[kept] = overflow ? saved_[i] : free_rng[i];
+      free_rng[kept] = free_rng[i];
+      if (overflow) {
+        fx_[kept] = fx_[i];
+        fpick_[kept] = fpick_[i];
+        fprecheck_[kept] = fprecheck_[i];
+        fflip_[kept] = fflip_[i];
+        branch_[kept] = branch_[i];
+      }
       ++kept;
     }
     free_shot.resize(kept);
@@ -524,6 +532,12 @@ class BatchWalker {
       frozen_ = true;
       resume_ = k;
     }
+  }
+
+  std::size_t count_branches() const {
+    std::size_t n = 0;
+    for (std::size_t i = 0; i < free_shot.size(); ++i) n += branch_[i];
+    return n;
   }
 
   void relax(const noise::RelaxationConstants& rc, std::size_t lq, std::size_t k) {
@@ -543,25 +557,24 @@ class BatchWalker {
       flip_[l] = rc.dephase && slot_rng[l].bernoulli(rc.p_z);
     }
     if (!frozen_) {
-      const double w = trunk_weight;
-      bool any_precheck = false;
-      for (std::size_t i = 0; i < free_shot.size(); ++i) {
-        saved_[i] = free_rng[i];
-        fprecheck_[i] = 0;
-        if (damping) {
-          fx_[i] = free_rng[i].uniform() * w;
-          fprecheck_[i] = fx_[i] < rc.gamma * w;
-          any_precheck |= fprecheck_[i] != 0;
+      if (k != redo_) {
+        const double w = trunk_weight;
+        bool any_precheck = false;
+        for (std::size_t i = 0; i < free_shot.size(); ++i) {
+          fprecheck_[i] = 0;
+          if (damping) {
+            fx_[i] = free_rng[i].uniform() * w;
+            fprecheck_[i] = fx_[i] < rc.gamma * w;
+            any_precheck |= fprecheck_[i] != 0;
+          }
+          fflip_[i] = rc.dephase && free_rng[i].bernoulli(rc.p_z);
         }
-        fflip_[i] = rc.dephase && free_rng[i].bernoulli(rc.p_z);
+        double m1 = 0.0;
+        if (any_precheck) trunk.masses_one(lq, &m1);
+        for (std::size_t i = 0; i < free_shot.size(); ++i)
+          branch_[i] = fflip_[i] || (fprecheck_[i] && fx_[i] < rc.gamma * m1);
       }
-      double m1 = 0.0;
-      if (any_precheck) trunk.masses_one(lq, &m1);
-      std::size_t n_branch = 0;
-      for (std::size_t i = 0; i < free_shot.size(); ++i) {
-        branch_[i] = fflip_[i] || (fprecheck_[i] && fx_[i] < rc.gamma * m1);
-        n_branch += branch_[i];
-      }
+      const std::size_t n_branch = count_branches();
       if (n_branch != 0)
         place(k, n_branch, [&](std::size_t i, std::size_t l) {
           x_[l] = fx_[i];
@@ -633,13 +646,13 @@ class BatchWalker {
     for (std::size_t l = 0; l < lanes_; ++l)
       picks_[l] = active[l] ? noise::sample_depolarizing(st.nq, p, slot_rng[l]) : 0;
     if (!frozen_) {
-      std::size_t n_branch = 0;
-      for (std::size_t i = 0; i < free_shot.size(); ++i) {
-        saved_[i] = free_rng[i];
-        fpick_[i] = noise::sample_depolarizing(st.nq, p, free_rng[i]);
-        branch_[i] = fpick_[i] != 0;
-        n_branch += branch_[i];
+      if (k != redo_) {
+        for (std::size_t i = 0; i < free_shot.size(); ++i) {
+          fpick_[i] = noise::sample_depolarizing(st.nq, p, free_rng[i]);
+          branch_[i] = fpick_[i] != 0;
+        }
       }
+      const std::size_t n_branch = count_branches();
       if (n_branch != 0)
         place(k, n_branch, [&](std::size_t i, std::size_t l) { picks_[l] = fpick_[i]; });
     }
@@ -670,15 +683,16 @@ class BatchWalker {
   const std::size_t lanes_;
   std::size_t n_active_ = 0;
   bool frozen_ = false;
-  std::size_t resume_ = 0;
+  /// The step the trunk froze before, and the step of the current pass
+  /// whose unbranched draws were already made (steps.size() when none).
+  std::size_t resume_ = 0, redo_ = 0;
   std::uint64_t n_jumps_ = 0, n_flips_ = 0, n_pauli_ = 0;
   // Per-slot draws of the current step.
   std::vector<double> x_, m1_, take_, scale1_;
   std::vector<std::uint8_t> precheck_, flip_, codes_;
   std::vector<int> picks_;
-  // Per-unbranched-shot draws of the current step, and the pre-step streams
-  // a pool overflow rewinds to.
-  std::vector<Rng> saved_;
+  // Per-unbranched-shot draws and branch flags of the current step, kept
+  // across a pool overflow for the resumed pass.
   std::vector<double> fx_;
   std::vector<int> fpick_;
   std::vector<std::uint8_t> fprecheck_, fflip_, branch_;

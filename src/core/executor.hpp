@@ -90,8 +90,8 @@ struct ExecutorOptions {
   /// of `shot_batch_lanes` pool slots of the batched multi-shot statevector
   /// at its first Kraus branch, and the pool applies each gate once across
   /// all its slots as unit-stride vectorizable arithmetic. A branch that
-  /// finds the pool full rewinds the unbranched shots to that step; the
-  /// pool runs to the end, and a new pool resumes from there. 0 or 1 falls
+  /// finds the pool full freezes the trunk before that step; the pool runs
+  /// to the end, and a new pool resumes from there. 0 or 1 falls
   /// back to the scalar per-shot loop. Counts and objective values are
   /// bit-identical for every value (each shot's stochastic branches draw
   /// from its own child stream in the scalar order).
