@@ -41,26 +41,26 @@ double run_through_service(const std::vector<serve::SweepJob>& jobs, std::size_t
                            const std::function<std::string(std::size_t)>& tenant_of,
                            std::vector<core::RunResult>& results) {
   serve::JobService svc(serve::JobService::Options{workers, 8192});
-  const auto t0 = std::chrono::steady_clock::now();
-  std::vector<serve::JobHandle> handles;
-  handles.reserve(jobs.size());
+  std::vector<serve::JobRequest> requests;
+  requests.reserve(jobs.size());
   for (std::size_t i = 0; i < jobs.size(); ++i) {
-    serve::SweepJob job = jobs[i];
-    job.tenant = tenant_of(i);
-    handles.push_back(svc.submit(serve::JobRequest{std::move(job)}));
+    requests.push_back({jobs[i]});
+    requests.back().run.tenant = tenant_of(i);
   }
+  const auto t0 = std::chrono::steady_clock::now();
+  std::vector<serve::JobOutcome> outcomes = svc.run_all(std::move(requests));
+  const double elapsed = seconds_since(t0);
   results.clear();
-  for (serve::JobHandle& h : handles) {
-    serve::JobOutcome outcome = h.outcome.get();
-    if (outcome.state != serve::JobState::Completed) {
-      std::printf("job %llu ended %s: %s\n", static_cast<unsigned long long>(h.id),
-                  serve::job_state_name(outcome.state).c_str(),
-                  outcome.error.message.c_str());
+  for (std::size_t i = 0; i < outcomes.size(); ++i) {
+    if (outcomes[i].state != serve::JobState::Completed) {
+      std::printf("%s ended %s: %s\n", jobs[i].label.c_str(),
+                  serve::job_state_name(outcomes[i].state).c_str(),
+                  outcomes[i].error.message.c_str());
       std::exit(1);
     }
-    results.push_back(std::move(outcome.result));
+    results.push_back(std::move(outcomes[i].result));
   }
-  return seconds_since(t0);
+  return elapsed;
 }
 
 /// Deterministic fair-share check on the scheduler itself: tenant A floods

@@ -1,6 +1,6 @@
 // Throughput of the serve layer on a Table II-style grid: the same 3-config
 // sweep runs once sequentially (plain run_qaoa per cell, private caches) and
-// once through a SweepRunner pool sharing one compiled-block cache. Reports
+// once through a JobService pool sharing one compiled-block cache. Reports
 // wall-clock speedup, verifies the results are bit-identical, and emits a
 // BENCH_sweep.json baseline with the cache hit rate across optimizer
 // iterations.
@@ -20,7 +20,7 @@
 #include "backend/presets.hpp"
 #include "bench_util.hpp"
 #include "serve/job.hpp"
-#include "serve/sweep.hpp"
+#include "serve/job_service.hpp"
 
 using namespace hgp;
 
@@ -43,7 +43,7 @@ int main(int argc, char** argv) {
 
   const backend::FakeBackend dev = backend::make_toronto();
   core::RunConfig base = benchutil::base_config();
-  base.executor_threads = 1;  // parallelism comes from the sweep pool here
+  base.executor_threads = 1;  // parallelism comes from the service pool here
 
   std::vector<serve::JobRequest> jobs;
   core::RunConfig cobyla = base;
@@ -58,7 +58,7 @@ int main(int argc, char** argv) {
   jobs.push_back({{"task2/gate/neldermead", graph::paper_task2(), &dev,
                    core::ModelKind::GateLevel, nm}});
 
-  benchutil::header("serve::SweepRunner — batched evaluation service throughput");
+  benchutil::header("serve::JobService — batched evaluation service throughput");
   std::printf("%zu configs, %zu workers, %zu shots, %d evals per run\n\n", jobs.size(),
               workers, base.shots, base.max_evaluations);
 
@@ -72,22 +72,23 @@ int main(int argc, char** argv) {
 
   // The service: shared pool + shared compiled-block cache (persisted to
   // HGP_BLOCK_STORE when set — a second invocation then starts disk-warm).
-  serve::SweepRunner runner(serve::SweepRunner::Options{
+  serve::JobService svc(serve::JobService::Options{
       workers, 8192, benchutil::env_or_str("HGP_BLOCK_STORE", "")});
   const auto t_par = std::chrono::steady_clock::now();
-  const std::vector<core::RunResult> parallel = runner.run_all(jobs);
+  const std::vector<serve::JobOutcome> outcomes = svc.run_all(jobs);
   const double par_s = seconds_since(t_par);
 
-  bool identical = parallel.size() == sequential.size();
+  bool identical = outcomes.size() == sequential.size();
   for (std::size_t i = 0; identical && i < jobs.size(); ++i)
-    identical = same_result(parallel[i], sequential[i]);
+    identical = outcomes[i].state == serve::JobState::Completed &&
+                same_result(outcomes[i].result, sequential[i]);
 
-  const serve::BlockCache::Stats cache = runner.cache_stats();
+  const serve::BlockCache::Stats cache = svc.cache_stats();
   const double speedup = par_s > 0.0 ? seq_s / par_s : 0.0;
 
   for (std::size_t i = 0; i < jobs.size(); ++i)
     std::printf("  %-24s AR %.1f%%  (%d evals)\n", jobs[i].run.label.c_str(),
-                100.0 * parallel[i].ar, parallel[i].optimizer.evaluations);
+                100.0 * outcomes[i].result.ar, outcomes[i].result.optimizer.evaluations);
   std::printf("\nsequential %.3f s | sweep %.3f s | speedup %.2fx | bit-identical: %s\n",
               seq_s, par_s, speedup, identical ? "yes" : "NO");
   std::printf("block cache: %llu hits / %llu misses (hit rate %.1f%%), %llu evictions\n",

@@ -1,5 +1,5 @@
 // Table II as a service workload: queue a small model × optimizer grid onto
-// one serve::SweepRunner and stream the results. Every run's optimizer
+// one serve::JobService and collect the outcomes. Every run's optimizer
 // candidates and all concurrent runs share the worker pool and the
 // compiled-block cache, so identical gate blocks compile once for the whole
 // grid — the per-evaluation cost drops to the parameter-bearing blocks.
@@ -13,7 +13,7 @@
 #include "backend/presets.hpp"
 #include "common/table.hpp"
 #include "serve/job.hpp"
-#include "serve/sweep.hpp"
+#include "serve/job_service.hpp"
 
 int main(int argc, char** argv) {
   using namespace hgp;
@@ -42,23 +42,30 @@ int main(int argc, char** argv) {
     }
   }
 
-  serve::SweepRunner runner(serve::SweepRunner::Options{workers, 8192});
+  serve::JobService svc(serve::JobService::Options{workers, 8192});
   const auto t0 = std::chrono::steady_clock::now();
-  const std::vector<core::RunResult> results = runner.run_all(jobs);
+  const std::vector<serve::JobOutcome> outcomes = svc.run_all(jobs);
   const double elapsed =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
 
   Table table({"run", "AR", "evals", "converged@", "makespan (dt)"});
-  for (std::size_t i = 0; i < jobs.size(); ++i)
-    table.add_row({jobs[i].run.label, Table::pct(results[i].ar),
-                   std::to_string(results[i].optimizer.evaluations),
-                   std::to_string(results[i].iterations_to_converge),
-                   std::to_string(results[i].makespan_dt)});
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    const serve::JobOutcome& outcome = outcomes[i];
+    if (outcome.state != serve::JobState::Completed) {
+      std::printf("%s ended %s: %s\n", jobs[i].run.label.c_str(),
+                  serve::job_state_name(outcome.state).c_str(), outcome.error.message.c_str());
+      return 1;
+    }
+    table.add_row({jobs[i].run.label, Table::pct(outcome.result.ar),
+                   std::to_string(outcome.result.optimizer.evaluations),
+                   std::to_string(outcome.result.iterations_to_converge),
+                   std::to_string(outcome.result.makespan_dt)});
+  }
   std::printf("%s\n", table.str().c_str());
 
-  const serve::BlockCache::Stats cache = runner.cache_stats();
+  const serve::BlockCache::Stats cache = svc.cache_stats();
   std::printf("%zu runs in %.2f s on %zu workers\n", jobs.size(), elapsed,
-              runner.service().num_workers());
+              svc.service().num_workers());
   std::printf("shared block cache: %llu hits / %llu misses (hit rate %.1f%%)\n",
               static_cast<unsigned long long>(cache.hits),
               static_cast<unsigned long long>(cache.misses), 100.0 * cache.hit_rate());

@@ -712,6 +712,23 @@ std::uint64_t apply_readout_flips(std::uint64_t bits, const CompiledProgram& cp,
   return bits;
 }
 
+/// Readout confusion on an outcome distribution over the measured bits: the
+/// per-bit stochastic 2x2 map, applied bit by bit in place. Shared by the
+/// exact density distribution and the trajectory CVaR tail.
+void fold_readout_confusion(std::vector<double>& p, const CompiledProgram& cp,
+                            const noise::NoiseModel& nm) {
+  for (std::size_t i = 0; i < cp.measure_phys.size(); ++i) {
+    const noise::ReadoutError& re = nm.qubits[cp.measure_phys[i]].readout;
+    const std::uint64_t bit = std::uint64_t{1} << i;
+    for (std::uint64_t idx = 0; idx < p.size(); ++idx) {
+      if (idx & bit) continue;
+      const double p0 = p[idx], p1 = p[idx | bit];
+      p[idx] = (1.0 - re.p1_given_0) * p0 + re.p0_given_1 * p1;
+      p[idx | bit] = re.p1_given_0 * p0 + (1.0 - re.p0_given_1) * p1;
+    }
+  }
+}
+
 /// Fixed-grid batch scheduler shared by every trajectory reduction: run
 /// fn(b) over the batch grid either serially or on an atomic work-stealing
 /// pool. The grid itself never depends on the thread count, so results
@@ -1248,18 +1265,7 @@ std::vector<double> Executor::density_distribution(const CompiledProgram& cp) co
   for (std::uint64_t i = 0; i < p_full.size(); ++i) p[map_bits(i, cp)] += p_full[i];
 
   // Readout confusion folds in exactly as a per-bit stochastic 2x2 map.
-  if (options_.readout_error) {
-    for (std::size_t i = 0; i < cp.measure_phys.size(); ++i) {
-      const noise::ReadoutError& re = nm.qubits[cp.measure_phys[i]].readout;
-      const std::uint64_t bit = std::uint64_t{1} << i;
-      for (std::uint64_t idx = 0; idx < p.size(); ++idx) {
-        if (idx & bit) continue;
-        const double p0 = p[idx], p1 = p[idx | bit];
-        p[idx] = (1.0 - re.p1_given_0) * p0 + re.p0_given_1 * p1;
-        p[idx | bit] = re.p1_given_0 * p0 + (1.0 - re.p0_given_1) * p1;
-      }
-    }
-  }
+  if (options_.readout_error) fold_readout_confusion(p, cp, nm);
 
   return p;
 }
@@ -1525,18 +1531,7 @@ double Executor::run_expectation(const Program& program, std::size_t shots, Rng&
   for (std::size_t b = 0; b < num_batches; ++b)
     for (std::size_t j = 0; j < mdim; ++j) p[j] += batch_p[b * mdim + j];
   for (std::size_t j = 0; j < mdim; ++j) p[j] /= static_cast<double>(shots);
-  if (options_.readout_error) {
-    for (std::size_t i = 0; i < cp.measure_phys.size(); ++i) {
-      const noise::ReadoutError& re = nm.qubits[cp.measure_phys[i]].readout;
-      const std::uint64_t bit = std::uint64_t{1} << i;
-      for (std::uint64_t idx = 0; idx < mdim; ++idx) {
-        if (idx & bit) continue;
-        const double p0 = p[idx], p1 = p[idx | bit];
-        p[idx] = (1.0 - re.p1_given_0) * p0 + re.p0_given_1 * p1;
-        p[idx | bit] = re.p1_given_0 * p0 + (1.0 - re.p0_given_1) * p1;
-      }
-    }
-  }
+  if (options_.readout_error) fold_readout_confusion(p, cp, nm);
   return mit::cvar_from_distribution(p, vt, spec.cvar_alpha, spec.cvar_maximize);
 }
 

@@ -17,8 +17,8 @@ namespace hgp::net {
 /// every method is then a blocking request/response exchange on that
 /// connection. A Client is not thread-safe — it is one ordered conversation.
 /// For concurrent or future-returning use, open more clients (run_async
-/// below opens its own connection per job, the wire analogue of
-/// SweepRunner::submit's future).
+/// below opens its own connection per job, the wire analogue of a
+/// JobHandle's outcome future).
 ///
 /// Submission takes the same serve::JobRequest that JobService::submit takes
 /// in process — the request is serialized with its schema version, validated

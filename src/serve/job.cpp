@@ -33,7 +33,8 @@ const std::string& job_error_code_name(JobErrorCode code) {
       "too_many_qubits", "bad_shots",      "bad_evaluations",   "bad_engine",
       "bad_objective",  "bad_optimizer",   "bad_lanes",         "bad_cvar_alpha",
       "bad_model",      "incompatible_m3", "bad_tenant",        "queue_full",
-      "backlog_full",   "deadline_expired", "cancel_requested", "execution_failed"};
+      "backlog_full",   "deadline_expired", "cancel_requested", "execution_failed",
+      "bad_deadline"};
   return names[static_cast<int>(code)];
 }
 

@@ -236,7 +236,7 @@ bool JobOutcome::deserialize(io::Reader& r, JobOutcome& out) {
       !r.u64(out.run_ns) || !get_bool(r, out.has_result))
     return false;
   if (state > static_cast<std::uint8_t>(JobState::Rejected)) return false;
-  if (code < 0 || code > static_cast<std::int32_t>(JobErrorCode::ExecutionFailed))
+  if (code < 0 || code > static_cast<std::int32_t>(JobErrorCode::BadDeadline))
     return false;
   out.state = static_cast<JobState>(state);
   out.error.code = static_cast<JobErrorCode>(code);

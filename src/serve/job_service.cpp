@@ -92,7 +92,7 @@ JobHandle JobService::submit(JobRequest request) {
 
   // Validation first: a malformed request is rejected before a Job object,
   // an executor, or a queue slot exists.
-  if (JobError error = validate_job(request.run)) {
+  if (JobError error = validate_job(request)) {
     metrics_.rejected->inc();
     reg.counter("service.tenant." + tenant + ".rejected").inc();
     JobId id;
@@ -190,6 +190,16 @@ JobHandle JobService::submit_with_retry(const JobRequest& request, const RetryPo
   }
 }
 
+std::vector<JobOutcome> JobService::run_all(std::vector<JobRequest> requests) {
+  std::vector<JobHandle> handles;
+  handles.reserve(requests.size());
+  for (JobRequest& request : requests) handles.push_back(submit(std::move(request)));
+  std::vector<JobOutcome> outcomes;
+  outcomes.reserve(handles.size());
+  for (const JobHandle& handle : handles) outcomes.push_back(handle.outcome.get());
+  return outcomes;
+}
+
 bool JobService::finish(const std::shared_ptr<Job>& job, JobState from, JobOutcome outcome) {
   const JobState to = outcome.state;
   if (!job->try_transition(from, to)) return false;
@@ -264,8 +274,13 @@ void JobService::run_job(const std::shared_ptr<Job>& job) {
 
   const SweepJob& run = job->request().run;
   core::RunConfig cfg = run.config;
-  // Same discipline as SweepRunner::submit: the pool is the parallelism.
+  // The pool provides the parallelism: a default thread count (0 = hardware
+  // concurrency) would nest a full trajectory shot pool inside every worker
+  // and oversubscribe the machine. Counts are bit-identical for any thread
+  // count, so this changes scheduling only, never results.
   if (cfg.executor_threads == 0) cfg.executor_threads = 1;
+  // Runs inherit the service-wide persistent store unless they bring their
+  // own; the first executor to construct attaches it to the shared cache.
   if (cfg.block_store_path.empty()) cfg.block_store_path = service_.block_store_path();
   cfg.cancel = job->token();
 

@@ -7,6 +7,7 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "serve/eval_service.hpp"
 #include "serve/job.hpp"
@@ -14,19 +15,18 @@
 
 namespace hgp::serve {
 
-/// Managed job front end of the serve subsystem: SweepRunner runs requests,
-/// JobService runs *jobs* — validated before any executor exists, admitted
-/// against queue and backlog limits, scheduled weighted-fair across tenants,
-/// cancellable mid-run, and expired when a soft deadline passes while they
-/// wait. Every outcome is a terminal JobState plus a structured JobError
+/// The job front end of the serve subsystem: every training run goes through
+/// here as a *job* — validated before any executor exists, admitted against
+/// queue and backlog limits, scheduled weighted-fair across tenants,
+/// cancellable mid-run, and expired when a soft deadline passes while it
+/// waits. Every outcome is a terminal JobState plus a structured JobError
 /// delivered through a future that always resolves with a value; the job
 /// layer never throws at a client.
 ///
 /// Scheduling rides on EvalService's deficit-round-robin job queue, and the
 /// runs themselves are ordinary run_qaoa calls on the shared worker pool and
 /// compiled-block cache — so jobs that complete normally are bit-identical
-/// to the same SweepJob run through SweepRunner (or alone), for any worker
-/// count.
+/// to the same SweepJob run alone, for any worker count.
 class JobService {
  public:
   struct Options {
@@ -74,6 +74,11 @@ class JobService {
   /// submit_state is Rejected (validation / admission) or Expired (deadline
   /// already in the past) and `outcome` is already resolved.
   JobHandle submit(JobRequest request);
+
+  /// Submit every request, then wait for each in submission order: the
+  /// outcomes line up index for index with `requests` (a rejected request's
+  /// outcome is its Rejected verdict).
+  std::vector<JobOutcome> run_all(std::vector<JobRequest> requests);
 
   /// submit(), retrying transient rejections (queue pressure) with
   /// exponential backoff. Permanent rejections return immediately.

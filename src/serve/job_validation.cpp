@@ -16,7 +16,8 @@ std::string label_of(const SweepJob& job) {
 
 }  // namespace
 
-JobError validate_job(const SweepJob& job) {
+JobError validate_job(const JobRequest& request) {
+  const SweepJob& job = request.run;
   const std::string label = label_of(job);
   const core::RunConfig& cfg = job.config;
 
@@ -27,6 +28,13 @@ JobError validate_job(const SweepJob& job) {
   if (!(job.weight > 0.0) || !std::isfinite(job.weight))
     return fail(JobErrorCode::BadTenant,
                 label + ": fair-share weight must be positive and finite");
+
+  // Negative deadlines are legal (the job expires at submit); only one the
+  // steady clock cannot represent is malformed.
+  if (request.deadline > kMaxDeadline)
+    return fail(JobErrorCode::BadDeadline,
+                label + ": deadline of " + std::to_string(request.deadline.count()) +
+                    " ms exceeds the " + std::to_string(kMaxDeadline.count()) + " ms limit");
 
   if (job.dev == nullptr)
     return fail(JobErrorCode::NullBackend, label + ": job has no backend");

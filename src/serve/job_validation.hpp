@@ -1,8 +1,8 @@
 #pragma once
 
-#include "common/error.hpp"
+#include <chrono>
+
 #include "serve/job.hpp"
-#include "serve/sweep.hpp"
 
 namespace hgp::serve {
 
@@ -16,26 +16,19 @@ inline constexpr std::size_t kMaxDensityQubits = 10;
 inline constexpr std::size_t kMaxShots = std::size_t{1} << 26;  // 67M
 inline constexpr int kMaxEvaluations = 1 << 20;
 inline constexpr std::size_t kMaxLanes = 4096;
+/// Longest soft deadline: half the steady clock's range (~146 years), so
+/// `submitted_at + deadline` stays representable for any uptime below the
+/// other half. Longer deadlines would overflow the nanosecond conversion.
+inline constexpr std::chrono::milliseconds kMaxDeadline =
+    std::chrono::duration_cast<std::chrono::milliseconds>(
+        std::chrono::steady_clock::duration::max()) /
+    2;
 
-/// Validate a run request without touching a backend, model, or executor.
+/// Validate a request without touching a backend, model, or executor.
 /// Returns {None, ""} when the job is well-formed; otherwise the first
 /// failed check's structured code and a human-readable message. Checks are
 /// ordered cheapest-first and stop at the first failure, so the verdict for
 /// a given request is deterministic.
-JobError validate_job(const SweepJob& job);
-
-/// Exception form for the future-based SweepRunner API: carries the
-/// structured code alongside the message.
-class JobValidationError : public Error {
- public:
-  explicit JobValidationError(JobError error)
-      : Error("job validation failed [" + job_error_code_name(error.code) +
-              "]: " + error.message),
-        error_(std::move(error)) {}
-  const JobError& error() const { return error_; }
-
- private:
-  JobError error_;
-};
+JobError validate_job(const JobRequest& request);
 
 }  // namespace hgp::serve

@@ -44,11 +44,6 @@ cxd BatchedStatevector::amplitude(std::uint64_t i, std::size_t lane) const {
   return {re_[i * lanes_ + lane], im_[i * lanes_ + lane]};
 }
 
-void BatchedStatevector::set_amplitude(std::uint64_t i, std::size_t lane, cxd a) {
-  re_[i * lanes_ + lane] = a.real();
-  im_[i * lanes_ + lane] = a.imag();
-}
-
 void BatchedStatevector::copy_lane_from(const BatchedStatevector& src, std::size_t src_lane,
                                         std::size_t lane) {
   HGP_REQUIRE(src.dim_ == dim_ && src_lane < src.lanes_ && lane < lanes_,

@@ -37,7 +37,6 @@ class BatchedStatevector {
   void reset();
 
   la::cxd amplitude(std::uint64_t i, std::size_t lane) const;
-  void set_amplitude(std::uint64_t i, std::size_t lane, la::cxd a);
 
   /// Overwrite lane `lane` with lane `src_lane` of `src` (same register
   /// size): how a trajectory leaves the shared unbranched state for its own
@@ -99,12 +98,6 @@ class BatchedStatevector {
   void apply_matrix_per_lane(const std::vector<la::CMat>& us,
                              const std::vector<std::size_t>& qubits);
 
-  /// Apply a k-qubit operator to one lane only (strided), with the scalar
-  /// backend's full structure dispatch — the mixed-structure fallback of
-  /// apply_matrix_per_lane. Generalizes apply_matrix_lane beyond one qubit.
-  void apply_matrix_one_lane(const la::CMat& u, const std::vector<std::size_t>& qubits,
-                             std::size_t lane);
-
   // ---- lane-native objective reductions (no terminal sampling) ----
 
   /// One lane-major sweep over the [basis][lane] planes: num[l] +=
@@ -137,6 +130,12 @@ class BatchedStatevector {
                      std::uint64_t* out) const;
 
  private:
+  /// Apply a k-qubit operator to one lane only (strided), with the scalar
+  /// backend's full structure dispatch — the mixed-structure fallback of
+  /// apply_matrix_per_lane. Generalizes apply_matrix_lane beyond one qubit.
+  void apply_matrix_one_lane(const la::CMat& u, const std::vector<std::size_t>& qubits,
+                             std::size_t lane);
+
   std::size_t num_qubits_ = 0;
   std::size_t dim_ = 0;
   std::size_t lanes_ = 0;

@@ -42,10 +42,6 @@ void DensityMatrix::apply_matrix(const CMat& u, const std::vector<std::size_t>& 
   apply_kraus({u}, qubits);
 }
 
-void DensityMatrix::apply_unitary(const CMat& u, const std::vector<std::size_t>& qubits) {
-  apply_matrix(u, qubits);
-}
-
 void DensityMatrix::apply_kraus(const std::vector<CMat>& kraus,
                                 const std::vector<std::size_t>& qubits) {
   // In-place block-partitioned update. rho' = Σ_k K rho K† with K acting on

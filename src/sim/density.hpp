@@ -30,8 +30,6 @@ class DensityMatrix final : public QuantumState {
   /// non-unitary A (Kraus branch) the result is un-normalized; pair with
   /// normalize().
   void apply_matrix(const la::CMat& u, const std::vector<std::size_t>& qubits) override;
-  /// Alias of apply_matrix kept for the exact-channel call sites.
-  void apply_unitary(const la::CMat& u, const std::vector<std::size_t>& qubits);
   /// rho -> Σ_k K_k rho K_k† (Kraus maps on the listed qubits).
   void apply_kraus(const std::vector<la::CMat>& kraus,
                    const std::vector<std::size_t>& qubits);

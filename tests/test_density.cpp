@@ -31,7 +31,7 @@ TEST(Density, PureStateEvolutionMatchesStatevector) {
 
 TEST(Density, DepolarizingReducesPurity) {
   DensityMatrix dm(1);
-  dm.apply_unitary(qc::gate_matrix(qc::GateKind::H), {0});
+  dm.apply_matrix(qc::gate_matrix(qc::GateKind::H), {0});
   EXPECT_NEAR(dm.purity(), 1.0, 1e-12);
   dm.apply_depolarizing({0}, 0.75);  // full depolarizing: maximally mixed
   EXPECT_NEAR(dm.purity(), 0.5, 1e-12);
@@ -40,8 +40,8 @@ TEST(Density, DepolarizingReducesPurity) {
 
 TEST(Density, TwoQubitDepolarizingIsTracePreserving) {
   DensityMatrix dm(2);
-  dm.apply_unitary(qc::gate_matrix(qc::GateKind::H), {0});
-  dm.apply_unitary(qc::gate_matrix(qc::GateKind::CX), {0, 1});
+  dm.apply_matrix(qc::gate_matrix(qc::GateKind::H), {0});
+  dm.apply_matrix(qc::gate_matrix(qc::GateKind::CX), {0, 1});
   dm.apply_depolarizing({0, 1}, 0.3);
   EXPECT_NEAR(dm.trace(), 1.0, 1e-12);
   EXPECT_LT(dm.purity(), 1.0);
@@ -49,7 +49,7 @@ TEST(Density, TwoQubitDepolarizingIsTracePreserving) {
 
 TEST(Density, AmplitudeDampingAnalytic) {
   DensityMatrix dm(1);
-  dm.apply_unitary(qc::gate_matrix(qc::GateKind::X), {0});
+  dm.apply_matrix(qc::gate_matrix(qc::GateKind::X), {0});
   dm.apply_amplitude_damping(0, 0.4);
   EXPECT_NEAR(dm.probabilities()[1], 0.6, 1e-12);
   EXPECT_NEAR(dm.probabilities()[0], 0.4, 1e-12);
@@ -57,7 +57,7 @@ TEST(Density, AmplitudeDampingAnalytic) {
 
 TEST(Density, ThermalRelaxationCoherenceDecay) {
   DensityMatrix dm(1);
-  dm.apply_unitary(qc::gate_matrix(qc::GateKind::H), {0});
+  dm.apply_matrix(qc::gate_matrix(qc::GateKind::H), {0});
   la::PauliSum x(1);
   x.add(1.0, "X");
   dm.apply_thermal_relaxation(0, 100.0, 80.0, 40000.0);
@@ -70,7 +70,7 @@ TEST_P(TrajectoryVsDensity, DepolarizingStatisticsConverge) {
   const double p = GetParam();
   // State: RY(0.9)|0> on one qubit; channel: depolarizing(p).
   DensityMatrix dm(1);
-  dm.apply_unitary(qc::gate_matrix(qc::GateKind::RY, {0.9}), {0});
+  dm.apply_matrix(qc::gate_matrix(qc::GateKind::RY, {0.9}), {0});
   dm.apply_depolarizing({0}, p);
 
   Rng rng(42);
@@ -89,7 +89,7 @@ TEST_P(TrajectoryVsDensity, ThermalRelaxationStatisticsConverge) {
   const double scale = GetParam();
   const double t1 = 100.0, t2 = 110.0, dur_ns = 20000.0 * (scale + 0.1);
   DensityMatrix dm(1);
-  dm.apply_unitary(qc::gate_matrix(qc::GateKind::H), {0});
+  dm.apply_matrix(qc::gate_matrix(qc::GateKind::H), {0});
   dm.apply_thermal_relaxation(0, t1, t2, dur_ns);
 
   la::PauliSum x(1), z(1);
@@ -124,8 +124,8 @@ TEST(Density, LiftRespectsQubitOrder) {
   // CX with control = qubit 1, target = qubit 0 on |10> (qubit1 = 1): flips
   // qubit 0.
   DensityMatrix dm(2);
-  dm.apply_unitary(qc::gate_matrix(qc::GateKind::X), {1});
-  dm.apply_unitary(qc::gate_matrix(qc::GateKind::CX), {1, 0});
+  dm.apply_matrix(qc::gate_matrix(qc::GateKind::X), {1});
+  dm.apply_matrix(qc::gate_matrix(qc::GateKind::CX), {1, 0});
   EXPECT_NEAR(dm.probabilities()[0b11], 1.0, 1e-12);
 }
 

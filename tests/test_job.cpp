@@ -21,7 +21,6 @@
 #include "serve/job.hpp"
 #include "serve/job_service.hpp"
 #include "serve/job_validation.hpp"
-#include "serve/sweep.hpp"
 
 using namespace hgp;
 using serve::FairJobQueue;
@@ -118,7 +117,7 @@ bool wait_for_state(JobService& svc, JobId id, JobState want,
   return false;
 }
 
-JobErrorCode code_of(const SweepJob& job) { return serve::validate_job(job).code; }
+JobErrorCode code_of(const SweepJob& job) { return serve::validate_job(JobRequest{job}).code; }
 
 }  // namespace
 
@@ -127,7 +126,7 @@ JobErrorCode code_of(const SweepJob& job) { return serve::validate_job(job).code
 
 TEST(JobValidation, WellFormedJobPasses) {
   EXPECT_EQ(code_of(good_job("ok")), JobErrorCode::None);
-  EXPECT_FALSE(serve::validate_job(good_job("ok")));
+  EXPECT_FALSE(serve::validate_job(JobRequest{good_job("ok")}));
 }
 
 TEST(JobValidation, RejectsEachMalformation) {
@@ -215,24 +214,53 @@ TEST(JobValidation, ErrorCodeNamesAndTransience) {
   EXPECT_EQ(serve::job_error_code_name(JobErrorCode::None), "none");
   EXPECT_EQ(serve::job_error_code_name(JobErrorCode::QueueFull), "queue_full");
   EXPECT_EQ(serve::job_error_code_name(JobErrorCode::ExecutionFailed), "execution_failed");
+  EXPECT_EQ(serve::job_error_code_name(JobErrorCode::BadDeadline), "bad_deadline");
   EXPECT_TRUE(serve::job_error_transient(JobErrorCode::QueueFull));
   EXPECT_TRUE(serve::job_error_transient(JobErrorCode::BacklogFull));
   EXPECT_FALSE(serve::job_error_transient(JobErrorCode::NullBackend));
   EXPECT_FALSE(serve::job_error_transient(JobErrorCode::DeadlineExpired));
 }
 
-TEST(JobValidation, SweepRunnerReturnsFailedFutureInsteadOfCrashing) {
-  serve::SweepRunner runner(serve::SweepRunner::Options{1, 64});
-  SweepJob job = good_job("null-dev");
-  job.dev = nullptr;  // used to be a hard HGP_REQUIRE (or worse, a segfault)
-  std::future<core::RunResult> f = runner.submit(serve::JobRequest{std::move(job)});
-  try {
-    f.get();
-    FAIL() << "expected JobValidationError";
-  } catch (const serve::JobValidationError& e) {
-    EXPECT_EQ(e.error().code, JobErrorCode::NullBackend);
-    EXPECT_NE(std::string(e.what()).find("null_backend"), std::string::npos);
-  }
+TEST(JobValidation, RejectsDeadlineTheSteadyClockCannotRepresent) {
+  // 2^50 ms overflows the nanosecond conversion of submitted_at + deadline.
+  // The job is rejected at submit, before a Job (and its token deadline)
+  // exists.
+  JobRequest req{good_job("far-future")};
+  req.deadline = std::chrono::milliseconds(std::int64_t{1} << 50);
+  EXPECT_EQ(serve::validate_job(req).code, JobErrorCode::BadDeadline);
+
+  JobService svc(JobService::Options{1, 64});
+  JobHandle h = svc.submit(req);
+  EXPECT_EQ(h.submit_state, JobState::Rejected);
+  EXPECT_EQ(h.submit_error.code, JobErrorCode::BadDeadline);
+  EXPECT_EQ(h.outcome.get().error.code, JobErrorCode::BadDeadline);
+
+  // The limit itself is representable and accepted.
+  req.deadline = serve::kMaxDeadline;
+  EXPECT_EQ(serve::validate_job(req).code, JobErrorCode::None);
+}
+
+TEST(JobValidation, RejectsDecodedWireDeadlineTheSteadyClockCannotRepresent) {
+  JobRequest req{good_job("wire-far-future")};
+  req.deadline = std::chrono::milliseconds(std::int64_t{1} << 50);
+  const std::string bytes = req.serialize();
+  io::Reader r(bytes);
+  JobRequest decoded;
+  ASSERT_TRUE(JobRequest::deserialize(r, decoded));
+  EXPECT_EQ(decoded.deadline, req.deadline);
+  decoded.run.dev = &toronto();  // what net::Server resolves from the name
+  const serve::JobError error = serve::validate_job(decoded);
+  EXPECT_EQ(error.code, JobErrorCode::BadDeadline);
+
+  // The new code survives the outcome decoder's range check.
+  JobOutcome rejected;
+  rejected.state = JobState::Rejected;
+  rejected.error = error;
+  const std::string outcome_bytes = rejected.serialize();
+  io::Reader ro(outcome_bytes);
+  JobOutcome round_trip;
+  ASSERT_TRUE(JobOutcome::deserialize(ro, round_trip));
+  EXPECT_EQ(round_trip.error.code, JobErrorCode::BadDeadline);
 }
 
 // ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <future>
 #include <string>
 #include <thread>
 #include <vector>
@@ -501,12 +502,14 @@ TEST(NetAdaptivePool, GrowsUnderBurstAndShrinksWhenIdle) {
 
   // A burst the single worker cannot drain within a tick: the manager must
   // grow toward max_workers.
+  std::vector<std::promise<int>> done(16);
   std::vector<std::future<int>> futures;
-  for (int i = 0; i < 16; ++i)
-    futures.push_back(svc.submit([] {
+  for (std::promise<int>& d : done) futures.push_back(d.get_future());
+  for (std::promise<int>& d : done)
+    svc.post({}, [&d] {
       std::this_thread::sleep_for(std::chrono::milliseconds(20));
-      return 1;
-    }));
+      d.set_value(1);
+    });
 
   std::size_t peak = 0;
   const auto grow_deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
@@ -536,12 +539,14 @@ TEST(NetAdaptivePool, FixedPoolNeverResizes) {
   options.cache_capacity = 64;
   // max_workers defaults to 0: fixed pool.
   serve::EvalService svc(options);
+  std::vector<std::promise<int>> done(8);
   std::vector<std::future<int>> futures;
-  for (int i = 0; i < 8; ++i)
-    futures.push_back(svc.submit([] {
+  for (std::promise<int>& d : done) futures.push_back(d.get_future());
+  for (std::promise<int>& d : done)
+    svc.post({}, [&d] {
       std::this_thread::sleep_for(std::chrono::milliseconds(5));
-      return 1;
-    }));
+      d.set_value(1);
+    });
   for (auto& f : futures) (void)f.get();
   EXPECT_EQ(svc.num_workers(), 2u);
   EXPECT_EQ(svc.pool_grow_events(), 0u);

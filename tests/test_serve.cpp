@@ -1,7 +1,7 @@
 // The serve subsystem: the shared compiled-block cache (LRU semantics,
 // structure keys, calibration invalidation), the EvalService worker pool
 // (nested batches, error propagation), and the determinism contract —
-// batched runs are bit-identical for any worker count, and a SweepRunner
+// batched runs are bit-identical for any worker count, and a JobService
 // grid matches sequential execution exactly.
 #include <gtest/gtest.h>
 
@@ -19,7 +19,7 @@
 #include "serve/block_cache.hpp"
 #include "serve/eval_service.hpp"
 #include "serve/job.hpp"
-#include "serve/sweep.hpp"
+#include "serve/job_service.hpp"
 
 using namespace hgp;
 using core::ExecOp;
@@ -248,9 +248,11 @@ TEST(EvalService, NestedBatchesCompleteWithoutDeadlock) {
   // More jobs than workers, each dispatching its own candidate batches onto
   // the same pool — progress relies on the submitting thread helping drain.
   serve::EvalService svc(serve::EvalService::Options{2, 64});
+  std::vector<std::promise<double>> sums(4);
   std::vector<std::future<double>> futures;
+  for (std::promise<double>& sum : sums) futures.push_back(sum.get_future());
   for (int j = 0; j < 4; ++j)
-    futures.push_back(svc.submit([&svc, j] {
+    svc.post({}, [&svc, &sums, j] {
       std::vector<double> vals(8, 0.0);
       std::vector<std::function<void()>> tasks;
       for (int i = 0; i < 8; ++i)
@@ -258,8 +260,8 @@ TEST(EvalService, NestedBatchesCompleteWithoutDeadlock) {
       svc.run(tasks);
       double sum = 0.0;
       for (double v : vals) sum += v;
-      return sum;
-    }));
+      sums[j].set_value(sum);
+    });
   for (int j = 0; j < 4; ++j) EXPECT_DOUBLE_EQ(futures[j].get(), 800.0 * j + 28.0);
 }
 
@@ -301,22 +303,23 @@ TEST(Serve, SweepMatchesSequentialExecutionBitExactly) {
     sequential.push_back(core::run_qaoa(request.run.instance, *request.run.dev,
                                         request.run.kind, request.run.config));
 
-  serve::SweepRunner runner(serve::SweepRunner::Options{4, 4096});
-  const std::vector<core::RunResult> parallel = runner.run_all(jobs);
+  serve::JobService svc(serve::JobService::Options{4, 4096});
+  const std::vector<serve::JobOutcome> parallel = svc.run_all(jobs);
 
   ASSERT_EQ(parallel.size(), sequential.size());
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     SCOPED_TRACE(jobs[i].run.label);
-    expect_same_result(parallel[i], sequential[i]);
+    ASSERT_EQ(parallel[i].state, serve::JobState::Completed);
+    expect_same_result(parallel[i].result, sequential[i]);
   }
   // The whole grid shares one compiled-block cache: re-bound blocks across
   // iterations and runs must hit.
-  const serve::BlockCache::Stats stats = runner.cache_stats();
+  const serve::BlockCache::Stats stats = svc.cache_stats();
   EXPECT_GT(stats.hits, stats.misses);
 }
 
 TEST(Serve, ConcurrentSweepSharesCompiledPulseMixers) {
-  // Two identical hybrid runs through one SweepRunner: the second run's
+  // Two identical hybrid runs through one JobService: the second run's
   // pulse mixer blocks (every candidate angle) must be served from the
   // shared cache compiled by the first — the cross-run sharing the per-kind
   // stats exist to make visible.
@@ -327,16 +330,18 @@ TEST(Serve, ConcurrentSweepSharesCompiledPulseMixers) {
   jobs.push_back({{"hybrid-b", graph::paper_task1(), &dev, core::ModelKind::Hybrid,
                    tiny_config("cobyla")}});
 
-  serve::SweepRunner runner(serve::SweepRunner::Options{2, 4096});
-  const std::vector<core::RunResult> results = runner.run_all(jobs);
-  expect_same_result(results[0], results[1]);
+  serve::JobService svc(serve::JobService::Options{2, 4096});
+  const std::vector<serve::JobOutcome> outcomes = svc.run_all(jobs);
+  ASSERT_EQ(outcomes[0].state, serve::JobState::Completed);
+  ASSERT_EQ(outcomes[1].state, serve::JobState::Completed);
+  expect_same_result(outcomes[0].result, outcomes[1].result);
 
   // Each run's final best-point evaluation re-binds angles its own
   // optimizer already compiled, so pulse hits are guaranteed even if the
   // two runs race in lockstep (concurrent first-touch lookups of one key
   // may legitimately both miss — the cache lets racing workers
   // double-compile rather than block).
-  const serve::BlockCache::Stats stats = runner.cache_stats();
+  const serve::BlockCache::Stats stats = svc.cache_stats();
   EXPECT_GT(stats.pulse_hits, 0u);
 }
 

@@ -106,8 +106,8 @@ TEST(Density, CollapseMatchesStatevector) {
 
 TEST(Density, SampleMatchesProbabilities) {
   DensityMatrix dm(2);
-  dm.apply_unitary(qc::gate_matrix(qc::GateKind::H), {0});
-  dm.apply_unitary(qc::gate_matrix(qc::GateKind::H), {1});
+  dm.apply_matrix(qc::gate_matrix(qc::GateKind::H), {0});
+  dm.apply_matrix(qc::gate_matrix(qc::GateKind::H), {1});
   dm.apply_depolarizing({0}, 0.2);  // mixing must not break sampling
   Rng rng(77);
   const sim::Counts counts = dm.sample(40000, rng);

@@ -21,7 +21,7 @@
 #include "serve/block_cache.hpp"
 #include "serve/block_store.hpp"
 #include "serve/job.hpp"
-#include "serve/sweep.hpp"
+#include "serve/job_service.hpp"
 
 using namespace hgp;
 using core::CompiledBlock;
@@ -430,30 +430,32 @@ TEST(BlockStore, ConcurrentSweepWriteThroughProducesLoadableStore) {
     jobs.push_back(std::move(request));
   }
 
-  serve::SweepRunner::Options opts;
+  serve::JobService::Options opts;
   opts.num_workers = 4;
   opts.block_store_path = path;
-  std::vector<core::RunResult> first;
+  std::vector<serve::JobOutcome> first;
   {
-    serve::SweepRunner runner(opts);
-    first = runner.run_all(jobs);
-    EXPECT_EQ(runner.service().block_store_path(), path);
-    EXPECT_GT(runner.cache_stats().misses, 0u);
+    serve::JobService svc(opts);
+    first = svc.run_all(jobs);
+    EXPECT_EQ(svc.service().block_store_path(), path);
+    EXPECT_GT(svc.cache_stats().misses, 0u);
   }
 
   // Second "process": same sweep, fresh service, warm from disk.
-  serve::SweepRunner warm_runner(opts);
-  const std::vector<core::RunResult> second = warm_runner.run_all(jobs);
-  const BlockCache::Stats stats = warm_runner.cache_stats();
+  serve::JobService warm_svc(opts);
+  const std::vector<serve::JobOutcome> second = warm_svc.run_all(jobs);
+  const BlockCache::Stats stats = warm_svc.cache_stats();
   EXPECT_GT(stats.store_loaded, 0u);
   EXPECT_GT(stats.store_hits, 0u);
   EXPECT_GE(stats.store_hit_rate(), 0.95);
   ASSERT_EQ(first.size(), second.size());
   for (std::size_t i = 0; i < first.size(); ++i) {
-    EXPECT_EQ(first[i].ar, second[i].ar);
-    EXPECT_EQ(first[i].final_cost, second[i].final_cost);
-    EXPECT_EQ(first[i].optimizer.x, second[i].optimizer.x);
-    EXPECT_EQ(first[i].optimizer.history, second[i].optimizer.history);
+    ASSERT_EQ(first[i].state, serve::JobState::Completed);
+    ASSERT_EQ(second[i].state, serve::JobState::Completed);
+    EXPECT_EQ(first[i].result.ar, second[i].result.ar);
+    EXPECT_EQ(first[i].result.final_cost, second[i].result.final_cost);
+    EXPECT_EQ(first[i].result.optimizer.x, second[i].result.optimizer.x);
+    EXPECT_EQ(first[i].result.optimizer.history, second[i].result.optimizer.history);
   }
 }
 
