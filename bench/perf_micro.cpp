@@ -4,6 +4,8 @@
 // routing, M3 mitigation solves, and the Hermitian eigensolver.
 #include <benchmark/benchmark.h>
 
+#include <chrono>
+
 #include "backend/presets.hpp"
 #include "bench_util.hpp"
 #include "common/rng.hpp"
@@ -205,11 +207,18 @@ static void batched_lanes_apply(benchmark::State& state, const la::CMat& u,
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto lanes = static_cast<std::size_t>(state.range(1));
   sim::BatchedStatevector bsv(n, lanes);
+  const auto t0 = std::chrono::steady_clock::now();
   for (auto _ : state) {
     bsv.apply_matrix(u, qubits);
     benchmark::DoNotOptimize(&bsv);
   }
+  const std::chrono::duration<double, std::nano> elapsed = std::chrono::steady_clock::now() - t0;
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(lanes));
+  // Wall ns per amplitude-lane: the kernel's cost independent of register
+  // size and lane count (items/sec counts whole trajectories).
+  state.counters["ns_per_amp"] =
+      elapsed.count() / (static_cast<double>(state.iterations()) *
+                         static_cast<double>(bsv.dim() * lanes));
   state.SetLabel(std::to_string(n) + "q x" + std::to_string(lanes) + " lanes");
 }
 
@@ -248,7 +257,9 @@ BENCHMARK(BM_Lanes1qDenseBatched)->Args({12, 16});
 BENCHMARK(BM_Lanes2qRzzDiagonalScalar)->Args({12, 16});
 BENCHMARK(BM_Lanes2qRzzDiagonalBatched)->Args({12, 16});
 BENCHMARK(BM_Lanes2qDenseScalar)->Args({12, 16});
-BENCHMARK(BM_Lanes2qDenseBatched)->Args({12, 16});
+// 6q x 16 lanes is the paper's task 1 with the state L1-resident; 13q x 13
+// lanes (paper task 3) has a 5-lane tail after one full 8-lane tile.
+BENCHMARK(BM_Lanes2qDenseBatched)->Args({12, 16})->Args({6, 16})->Args({13, 13});
 
 // ---- candidate-lane kernels: each lane carries its own parameters ----------
 //

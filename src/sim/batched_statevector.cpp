@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
+#include <type_traits>
+#include <utility>
 
 #include "common/error.hpp"
 #include "sim/kernel_structure.hpp"
@@ -19,7 +22,10 @@ using detail::is_zero;
 // Statevector / executor kernel term-for-term (products first, then the same
 // association of sums) so that, with FP contraction disabled, a lane evolves
 // bit-identically to a scalar shot. Do not "simplify" the arithmetic here
-// without changing the scalar kernels in lockstep.
+// without changing the scalar kernels in lockstep. Products are spelled out
+// in real arithmetic on split planes, never as std::complex: in this
+// -march=native file GCC 12 can compile a std::complex product to a fused
+// vfmaddsub despite -ffp-contract=off (seen in the ASan/UBSan build).
 
 BatchedStatevector::BatchedStatevector(std::size_t num_qubits, std::size_t lanes)
     : num_qubits_(num_qubits), dim_(std::size_t{1} << num_qubits), lanes_(lanes) {
@@ -28,8 +34,6 @@ BatchedStatevector::BatchedStatevector(std::size_t num_qubits, std::size_t lanes
   re_.assign(dim_ * lanes_, 0.0);
   im_.assign(dim_ * lanes_, 0.0);
   for (std::size_t l = 0; l < lanes_; ++l) re_[l] = 1.0;
-  scratch_re_.resize(8 * lanes_);
-  scratch_im_.resize(8 * lanes_);
   acc_.resize(lanes_);
   done_.resize(lanes_);
 }
@@ -67,16 +71,257 @@ inline void mul_row(double* __restrict__ re, double* __restrict__ im, std::size_
   }
 }
 
+// ---- lane-tiled gather kernels ----
+//
+// The kernels that combine several rows of a group (broadcast permutation
+// and dense 2q/3q, every per-lane operator) work on one tile of lanes at a
+// time. The tile's R input rows are copied into function-local
+// double[R][W] arrays of compile-time shape, so the compiler keeps them in
+// vector registers across all R output rows, and each output row is summed
+// in a W-wide local accumulator and stored once.
+
+/// Lane-tile width: 8 doubles, one AVX-512 or two AVX2 registers per row.
+constexpr std::size_t kTile = 8;
+
+template <std::size_t W>
+using TileWidth = std::integral_constant<std::size_t, W>;
+
+/// body(TileWidth<W>{}, l0) for each lane tile [l0, l0 + W) of [0, L): full
+/// tiles of width kTile, then a width-1 tail over the last L % kTile lanes.
+template <typename Body>
+inline void for_each_lane_tile(std::size_t L, Body&& body) {
+  std::size_t l0 = 0;
+  for (; l0 + kTile <= L; l0 += kTile) body(TileWidth<kTile>{}, l0);
+  for (; l0 < L; ++l0) body(TileWidth<1>{}, l0);
+}
+
+/// offset[s] spreads the sub-index s onto the target qubits' bits (first
+/// listed qubit = least significant sub-index bit).
+template <std::size_t R>
+inline void group_offsets(const std::vector<std::size_t>& qubits, std::uint64_t (&offset)[R]) {
+  for (std::size_t s = 0; s < R; ++s) {
+    offset[s] = 0;
+    for (std::size_t j = 0; j < qubits.size(); ++j)
+      if ((s >> j) & 1) offset[s] |= std::uint64_t{1} << qubits[j];
+  }
+}
+
+/// f(i) for every group base i (all target bits clear) of an R-row kernel.
+template <std::size_t R, typename F>
+inline void for_each_group_base(std::uint64_t dim, const std::uint64_t (&offset)[R], F&& f) {
+  if constexpr (R == 2)
+    for_each_pair_base(dim, offset[1], f);
+  else if constexpr (R == 4)
+    for_each_quad_base(dim, offset[1], offset[2], f);
+  else
+    detail::for_each_oct_base(dim, offset[1], offset[2], offset[4], f);
+}
+
+/// The tile helper: lanes [l0, l0 + W) of the group at base i. Gathers the
+/// tile's R input rows into local arrays, then row(r, sr, si, outr, outm)
+/// writes output row r, whose W lanes start at outr / outm.
+template <std::size_t R, std::size_t W, typename Row>
+inline void apply_tile(double* re, double* im, std::size_t L, std::uint64_t i,
+                       const std::uint64_t (&offset)[R], std::size_t l0, Row&& row) {
+  // Not zero-filled: the gather below writes every element before any read,
+  // and a fill per tile measured ~40% slower on the per-lane dense 3q kernel.
+  double sr[R][W], si[R][W];
+  for (std::size_t s = 0; s < R; ++s) {
+    const double* __restrict__ r = re + (i | offset[s]) * L + l0;
+    const double* __restrict__ m = im + (i | offset[s]) * L + l0;
+    for (std::size_t l = 0; l < W; ++l) {
+      sr[s][l] = r[l];
+      si[s][l] = m[l];
+    }
+  }
+  for (std::size_t r = 0; r < R; ++r)
+    row(r, sr, si, re + (i | offset[r]) * L + l0, im + (i | offset[r]) * L + l0);
+}
+
+/// One term per output row (permutation, diagonal, anti-diagonal):
+/// out[l] = coef(l) * a_s[l], the scalar kernels' `phase * a`.
+template <std::size_t R, std::size_t W, typename Coef>
+inline void term_row(std::size_t s, const double (&sr)[R][W], const double (&si)[R][W],
+                     Coef&& coef, double* __restrict__ outr, double* __restrict__ outm) {
+  for (std::size_t l = 0; l < W; ++l) {
+    const cxd c = coef(l);
+    outr[l] = c.real() * sr[s][l] - c.imag() * si[s][l];
+    outm[l] = c.real() * si[s][l] + c.imag() * sr[s][l];
+  }
+}
+
+/// Dense output row: out[l] = sum_s coef(s, l) * a_s[l], each product
+/// rounded first and the sums associated left to right in ascending s —
+/// starting from the first product for R <= 4 (the scalar 1q/2q kernels'
+/// u(r,0) * a0 + u(r,1) * a1 + ...) and from a 0.0 accumulator for R = 8
+/// (the 3q kernels' acc += u(r,s) * a[s]).
+template <std::size_t R, std::size_t W, typename Coef>
+inline void dense_row(const double (&sr)[R][W], const double (&si)[R][W], Coef&& coef,
+                      double* __restrict__ outr, double* __restrict__ outm) {
+  auto product = [&](std::size_t s, std::size_t l) {
+    const cxd c = coef(s, l);
+    return std::pair{c.real() * sr[s][l] - c.imag() * si[s][l],
+                     c.real() * si[s][l] + c.imag() * sr[s][l]};
+  };
+  double accr[W] = {}, acci[W] = {};
+  for (std::size_t l = 0; l < W; ++l) {
+    const auto [pr, pi] = product(0, l);
+    accr[l] = R > 4 ? 0.0 + pr : pr;
+    acci[l] = R > 4 ? 0.0 + pi : pi;
+  }
+  // Fully unrolled, the s loop leaves one straight-line block the compiler
+  // vectorizes at full register width; as a loop it mixes vector widths
+  // between the tile's stores and loads (5x slower per-lane dense 3q).
+#pragma GCC unroll 8
+  for (std::size_t s = 1; s < R; ++s)
+    for (std::size_t l = 0; l < W; ++l) {
+      const auto [pr, pi] = product(s, l);
+      accr[l] += pr;
+      acci[l] += pi;
+    }
+  for (std::size_t l = 0; l < W; ++l) {
+    outr[l] = accr[l];
+    outm[l] = acci[l];
+  }
+}
+
+/// Broadcast kernel (one operator for lanes 0..n-1 of rows with stride L):
+/// group by group, and tile by tile within a group, so each group's rows
+/// are read once.
+template <std::size_t R, typename Row>
+inline void broadcast_tiles(double* re, double* im, std::uint64_t dim, std::size_t L,
+                            std::size_t n, const std::uint64_t (&offset)[R], Row&& row) {
+  for_each_group_base<R>(dim, offset, [&](std::uint64_t i) {
+    for_each_lane_tile(n, [&](auto w, std::size_t l0) {
+      apply_tile<R, decltype(w)::value>(re, im, L, i, offset, l0, row);
+    });
+  });
+}
+
+/// Per-lane kernel (us[l] acts on lane l): tile by tile, so the coefficients
+/// need no lanes-long buffer. Each tile first packs entry(e) = {row, col} of
+/// its lanes' operators into local rows cr[e][l] / ci[e][l], then sweeps
+/// every group with row(r, cr, ci, sr, si, outr, outm).
+template <std::size_t R, std::size_t E, typename Entry, typename Row>
+inline void per_lane_tiles(double* re, double* im, std::uint64_t dim, std::size_t L,
+                           const std::uint64_t (&offset)[R], const std::vector<CMat>& us,
+                           Entry&& entry, Row&& row) {
+  for_each_lane_tile(L, [&](auto w, std::size_t l0) {
+    constexpr std::size_t W = decltype(w)::value;
+    double cr[E][W] = {}, ci[E][W] = {};
+    for (std::size_t e = 0; e < E; ++e) {
+      const auto [r, c] = entry(e);
+      for (std::size_t l = 0; l < W; ++l) {
+        cr[e][l] = us[l0 + l](r, c).real();
+        ci[e][l] = us[l0 + l](r, c).imag();
+      }
+    }
+    for_each_group_base<R>(dim, offset, [&](std::uint64_t i) {
+      apply_tile<R, W>(re, im, L, i, offset, l0,
+                       [&](std::size_t r, const auto& sr, const auto& si, double* outr,
+                           double* outm) { row(r, cr, ci, sr, si, outr, outm); });
+    });
+  });
+}
+
+/// Per-lane operators with one non-zero per row: lane l's output row r is
+/// us[l](r, r ^ flip) * a_{r ^ flip} (diagonal: flip 0; 1q anti-diagonal:
+/// flip 1).
+template <std::size_t R>
+void per_lane_term(double* re, double* im, std::uint64_t dim, std::size_t L,
+                   const std::uint64_t (&offset)[R], const std::vector<CMat>& us,
+                   std::size_t flip) {
+  per_lane_tiles<R, R>(
+      re, im, dim, L, offset, us, [&](std::size_t e) { return std::pair{e, e ^ flip}; },
+      [&](std::size_t r, const auto& cr, const auto& ci, const auto& sr, const auto& si,
+          double* outr, double* outm) {
+        term_row(r ^ flip, sr, si, [&](std::size_t l) { return cxd{cr[r][l], ci[r][l]}; },
+                 outr, outm);
+      });
+}
+
+/// Per-lane dense operators: lane l's output row r is sum_s us[l](r, s) * a_s.
+template <std::size_t R>
+void per_lane_dense(double* re, double* im, std::uint64_t dim, std::size_t L,
+                    const std::uint64_t (&offset)[R], const std::vector<CMat>& us) {
+  per_lane_tiles<R, R * R>(
+      re, im, dim, L, offset, us, [](std::size_t e) { return std::pair{e / R, e % R}; },
+      [](std::size_t r, const auto& cr, const auto& ci, const auto& sr, const auto& si,
+         double* outr, double* outm) {
+        dense_row(
+            sr, si,
+            [&](std::size_t s, std::size_t l) { return cxd{cr[r * R + s][l], ci[r * R + s][l]}; },
+            outr, outm);
+      });
+}
+
+/// Diagonal broadcast kernel: row s *= u(s, s) in every lane, in place.
+template <std::size_t R>
+void broadcast_diagonal(double* re, double* im, std::uint64_t dim, std::size_t L,
+                        std::size_t n, const std::uint64_t (&offset)[R], const CMat& u) {
+  cxd d[R];
+  for (std::size_t s = 0; s < R; ++s) d[s] = u(s, s);
+  for_each_group_base(dim, offset, [&](std::uint64_t i) {
+    for (std::size_t s = 0; s < R; ++s)
+      mul_row(re + (i | offset[s]) * L, im + (i | offset[s]) * L, n, d[s].real(),
+              d[s].imag());
+  });
+}
+
+/// Dense broadcast kernel: output row r is sum_s u(r, s) * a_s in every lane.
+template <std::size_t R>
+void broadcast_dense(double* re, double* im, std::uint64_t dim, std::size_t L, std::size_t n,
+                     const std::uint64_t (&offset)[R], const CMat& u) {
+  cxd c[R][R];
+  for (std::size_t r = 0; r < R; ++r)
+    for (std::size_t s = 0; s < R; ++s) c[r][s] = u(r, s);
+  broadcast_tiles(re, im, dim, L, n, offset,
+                  [&](std::size_t r, const auto& sr, const auto& si, double* outr,
+                      double* outm) {
+                    dense_row(sr, si, [&](std::size_t s, std::size_t) { return c[r][s]; },
+                              outr, outm);
+                  });
+}
+
 }  // namespace
+
+void BatchedStatevector::check_operator(const CMat& u, const std::vector<std::size_t>& qubits,
+                                        const char* what) const {
+  HGP_REQUIRE(u.rows() == (std::size_t{1} << qubits.size()) && u.cols() == u.rows(),
+              std::string(what) + ": matrix size mismatch");
+  for (std::size_t q : qubits)
+    HGP_REQUIRE(q < num_qubits_, std::string(what) + ": qubit out of range");
+  HGP_REQUIRE(!detail::has_duplicate_qubit(qubits), std::string(what) + ": duplicate qubit");
+}
 
 void BatchedStatevector::apply_matrix(const CMat& u,
                                       const std::vector<std::size_t>& qubits) {
+  check_operator(u, qubits, "BatchedStatevector::apply_matrix");
+  apply_to_lanes(u, qubits, 0, lanes_);
+}
+
+void BatchedStatevector::apply_matrix_lane(const CMat& u, std::size_t q, std::size_t lane) {
+  HGP_REQUIRE(u.rows() == 2 && u.cols() == 2, "apply_matrix_lane: expected a 2x2 operator");
+  HGP_REQUIRE(q < num_qubits_ && lane < lanes_, "apply_matrix_lane: out of range");
+  apply_to_lanes(u, {q}, lane, lane + 1);
+}
+
+void BatchedStatevector::apply_matrix_one_lane(const CMat& u,
+                                               const std::vector<std::size_t>& qubits,
+                                               std::size_t lane) {
+  check_operator(u, qubits, "apply_matrix_one_lane");
+  HGP_REQUIRE(lane < lanes_, "apply_matrix_one_lane: lane out of range");
+  apply_to_lanes(u, qubits, lane, lane + 1);
+}
+
+void BatchedStatevector::apply_to_lanes(const CMat& u, const std::vector<std::size_t>& qubits,
+                                        std::size_t lb, std::size_t le) {
   const std::size_t k = qubits.size();
-  HGP_REQUIRE(u.rows() == (std::size_t{1} << k) && u.cols() == u.rows(),
-              "BatchedStatevector::apply_matrix: matrix size mismatch");
-  for (std::size_t q : qubits)
-    HGP_REQUIRE(q < num_qubits_, "BatchedStatevector::apply_matrix: qubit out of range");
   const std::size_t L = lanes_;
+  // Row i of the lanes [lb, le) starts at re[i * L] / im[i * L].
+  double* re = re_.data() + lb;
+  double* im = im_.data() + lb;
+  const std::size_t n = le - lb;
 
   if (k == 1) {
     const std::uint64_t bit = std::uint64_t{1} << qubits[0];
@@ -86,8 +331,8 @@ void BatchedStatevector::apply_matrix(const CMat& u,
       const double d0r = u00.real(), d0i = u00.imag();
       const double d1r = u11.real(), d1i = u11.imag();
       for_each_pair_base(dim_, bit, [&](std::uint64_t i) {
-        mul_row(&re_[i * L], &im_[i * L], L, d0r, d0i);
-        mul_row(&re_[(i | bit) * L], &im_[(i | bit) * L], L, d1r, d1i);
+        mul_row(re + i * L, im + i * L, n, d0r, d0i);
+        mul_row(re + (i | bit) * L, im + (i | bit) * L, n, d1r, d1i);
       });
       return;
     }
@@ -96,11 +341,11 @@ void BatchedStatevector::apply_matrix(const CMat& u,
       const double p01r = u01.real(), p01i = u01.imag();
       const double p10r = u10.real(), p10i = u10.imag();
       for_each_pair_base(dim_, bit, [&](std::uint64_t i) {
-        double* __restrict__ r0 = &re_[i * L];
-        double* __restrict__ m0 = &im_[i * L];
-        double* __restrict__ r1 = &re_[(i | bit) * L];
-        double* __restrict__ m1 = &im_[(i | bit) * L];
-        for (std::size_t l = 0; l < L; ++l) {
+        double* __restrict__ r0 = re + i * L;
+        double* __restrict__ m0 = im + i * L;
+        double* __restrict__ r1 = re + (i | bit) * L;
+        double* __restrict__ m1 = im + (i | bit) * L;
+        for (std::size_t l = 0; l < n; ++l) {
           const double ar0 = r0[l], ai0 = m0[l];
           const double ar1 = r1[l], ai1 = m1[l];
           r0[l] = p01r * ar1 - p01i * ai1;
@@ -116,11 +361,11 @@ void BatchedStatevector::apply_matrix(const CMat& u,
     const double u10r = u10.real(), u10i = u10.imag();
     const double u11r = u11.real(), u11i = u11.imag();
     for_each_pair_base(dim_, bit, [&](std::uint64_t i) {
-      double* __restrict__ r0 = &re_[i * L];
-      double* __restrict__ m0 = &im_[i * L];
-      double* __restrict__ r1 = &re_[(i | bit) * L];
-      double* __restrict__ m1 = &im_[(i | bit) * L];
-      for (std::size_t l = 0; l < L; ++l) {
+      double* __restrict__ r0 = re + i * L;
+      double* __restrict__ m0 = im + i * L;
+      double* __restrict__ r1 = re + (i | bit) * L;
+      double* __restrict__ m1 = im + (i | bit) * L;
+      for (std::size_t l = 0; l < n; ++l) {
         const double ar0 = r0[l], ai0 = m0[l];
         const double ar1 = r1[l], ai1 = m1[l];
         r0[l] = (u00r * ar0 - u00i * ai0) + (u01r * ar1 - u01i * ai1);
@@ -133,142 +378,36 @@ void BatchedStatevector::apply_matrix(const CMat& u,
   }
 
   if (k == 2) {
-    const std::uint64_t b0 = std::uint64_t{1} << qubits[0];
-    const std::uint64_t b1 = std::uint64_t{1} << qubits[1];
     std::uint64_t offset[4];
-    for (std::size_t s = 0; s < 4; ++s)
-      offset[s] = ((s & 1) ? b0 : 0) | ((s & 2) ? b1 : 0);
-
-    if (detail::is_diagonal4(u)) {
-      const cxd d[4] = {u(0, 0), u(1, 1), u(2, 2), u(3, 3)};
-      for_each_quad_base(dim_, b0, b1, [&](std::uint64_t i) {
-        for (std::size_t s = 0; s < 4; ++s)
-          mul_row(&re_[(i | offset[s]) * L], &im_[(i | offset[s]) * L], L, d[s].real(),
-                  d[s].imag());
-      });
-      return;
-    }
-
+    group_offsets(qubits, offset);
     detail::Perm4 p4;
-    if (detail::as_permutation4(u, p4)) {
-      std::vector<double>& sr = scratch_re_;
-      std::vector<double>& si = scratch_im_;
-      for_each_quad_base(dim_, b0, b1, [&](std::uint64_t i) {
-        for (std::size_t s = 0; s < 4; ++s) {
-          const double* __restrict__ r = &re_[(i | offset[s]) * L];
-          const double* __restrict__ m = &im_[(i | offset[s]) * L];
-          for (std::size_t l = 0; l < L; ++l) {
-            sr[s * L + l] = r[l];
-            si[s * L + l] = m[l];
-          }
-        }
-        for (std::size_t s = 0; s < 4; ++s) {
-          const double pr = p4.phase[s].real(), pi = p4.phase[s].imag();
-          double* __restrict__ r = &re_[(i | offset[p4.perm[s]]) * L];
-          double* __restrict__ m = &im_[(i | offset[p4.perm[s]]) * L];
-          const double* __restrict__ ar = &sr[s * L];
-          const double* __restrict__ ai = &si[s * L];
-          for (std::size_t l = 0; l < L; ++l) {
-            r[l] = pr * ar[l] - pi * ai[l];
-            m[l] = pr * ai[l] + pi * ar[l];
-          }
-        }
-      });
-      return;
+    if (detail::is_diagonal4(u)) {
+      broadcast_diagonal(re, im, dim_, L, n, offset, u);
+    } else if (detail::as_permutation4(u, p4)) {
+      // Output row perm[s] is phase[s] * row s.
+      std::size_t src[4];
+      for (std::size_t s = 0; s < 4; ++s) src[p4.perm[s]] = s;
+      broadcast_tiles(re, im, dim_, L, n, offset,
+                      [&](std::size_t r, const auto& sr, const auto& si, double* outr,
+                          double* outm) {
+                        const cxd phase = p4.phase[src[r]];
+                        term_row(src[r], sr, si, [&](std::size_t) { return phase; }, outr,
+                                 outm);
+                      });
+    } else {
+      broadcast_dense(re, im, dim_, L, n, offset, u);
     }
-
-    double ur[4][4], ui[4][4];
-    for (std::size_t r = 0; r < 4; ++r)
-      for (std::size_t c = 0; c < 4; ++c) {
-        ur[r][c] = u(r, c).real();
-        ui[r][c] = u(r, c).imag();
-      }
-    std::vector<double>& sr = scratch_re_;
-    std::vector<double>& si = scratch_im_;
-    for_each_quad_base(dim_, b0, b1, [&](std::uint64_t i) {
-      for (std::size_t s = 0; s < 4; ++s) {
-        const double* __restrict__ r = &re_[(i | offset[s]) * L];
-        const double* __restrict__ m = &im_[(i | offset[s]) * L];
-        for (std::size_t l = 0; l < L; ++l) {
-          sr[s * L + l] = r[l];
-          si[s * L + l] = m[l];
-        }
-      }
-      // Mirror of the scalar row expression u(r,0)*a0 + u(r,1)*a1 + ... :
-      // each product rounded first, sums associated left-to-right.
-      for (std::size_t r = 0; r < 4; ++r) {
-        double* __restrict__ outr = &re_[(i | offset[r]) * L];
-        double* __restrict__ outm = &im_[(i | offset[r]) * L];
-        for (std::size_t l = 0; l < L; ++l) {
-          const double p0r = ur[r][0] * sr[0 * L + l] - ui[r][0] * si[0 * L + l];
-          const double p0i = ur[r][0] * si[0 * L + l] + ui[r][0] * sr[0 * L + l];
-          const double p1r = ur[r][1] * sr[1 * L + l] - ui[r][1] * si[1 * L + l];
-          const double p1i = ur[r][1] * si[1 * L + l] + ui[r][1] * sr[1 * L + l];
-          const double p2r = ur[r][2] * sr[2 * L + l] - ui[r][2] * si[2 * L + l];
-          const double p2i = ur[r][2] * si[2 * L + l] + ui[r][2] * sr[2 * L + l];
-          const double p3r = ur[r][3] * sr[3 * L + l] - ui[r][3] * si[3 * L + l];
-          const double p3i = ur[r][3] * si[3 * L + l] + ui[r][3] * sr[3 * L + l];
-          outr[l] = ((p0r + p1r) + p2r) + p3r;
-          outm[l] = ((p0i + p1i) + p2i) + p3i;
-        }
-      }
-    });
     return;
   }
 
   if (k == 3) {
-    // Dense 3q kernel for width-3 fused blocks: same dispatch as the scalar
-    // backend, lane-major unit-stride inner loops, and the generic path's
-    // summation order (products rounded first, accumulated in s order).
-    const std::uint64_t b0 = std::uint64_t{1} << qubits[0];
-    const std::uint64_t b1 = std::uint64_t{1} << qubits[1];
-    const std::uint64_t b2 = std::uint64_t{1} << qubits[2];
+    // Width-3 fused blocks: same dispatch as the scalar backend.
     std::uint64_t offset[8];
-    for (std::size_t s = 0; s < 8; ++s)
-      offset[s] = ((s & 1) ? b0 : 0) | ((s & 2) ? b1 : 0) | ((s & 4) ? b2 : 0);
-
-    if (detail::is_diagonal_n(u)) {
-      cxd d[8];
-      for (std::size_t s = 0; s < 8; ++s) d[s] = u(s, s);
-      detail::for_each_oct_base(dim_, b0, b1, b2, [&](std::uint64_t i) {
-        for (std::size_t s = 0; s < 8; ++s)
-          mul_row(&re_[(i | offset[s]) * L], &im_[(i | offset[s]) * L], L, d[s].real(),
-                  d[s].imag());
-      });
-      return;
-    }
-
-    std::vector<double>& sr = scratch_re_;
-    std::vector<double>& si = scratch_im_;
-    detail::for_each_oct_base(dim_, b0, b1, b2, [&](std::uint64_t i) {
-      for (std::size_t s = 0; s < 8; ++s) {
-        const double* __restrict__ r = &re_[(i | offset[s]) * L];
-        const double* __restrict__ m = &im_[(i | offset[s]) * L];
-        for (std::size_t l = 0; l < L; ++l) {
-          sr[s * L + l] = r[l];
-          si[s * L + l] = m[l];
-        }
-      }
-      for (std::size_t r = 0; r < 8; ++r) {
-        double* __restrict__ outr = &re_[(i | offset[r]) * L];
-        double* __restrict__ outm = &im_[(i | offset[r]) * L];
-        for (std::size_t l = 0; l < L; ++l) {
-          outr[l] = 0.0;
-          outm[l] = 0.0;
-        }
-        for (std::size_t s = 0; s < 8; ++s) {
-          const double cr = u(r, s).real(), ci = u(r, s).imag();
-          const double* __restrict__ ar = &sr[s * L];
-          const double* __restrict__ ai = &si[s * L];
-          for (std::size_t l = 0; l < L; ++l) {
-            const double pr = cr * ar[l] - ci * ai[l];
-            const double pi = cr * ai[l] + ci * ar[l];
-            outr[l] += pr;
-            outm[l] += pi;
-          }
-        }
-      }
-    });
+    group_offsets(qubits, offset);
+    if (detail::is_diagonal_n(u))
+      broadcast_diagonal(re, im, dim_, L, n, offset, u);
+    else
+      broadcast_dense(re, im, dim_, L, n, offset, u);
     return;
   }
 
@@ -280,7 +419,7 @@ void BatchedStatevector::apply_matrix(const CMat& u,
   std::vector<std::uint64_t> sorted_masks = masks;
   std::sort(sorted_masks.begin(), sorted_masks.end());
 
-  std::vector<double> lr(dim * L), li(dim * L);
+  std::vector<double> lr(dim * n), li(dim * n);
   std::vector<std::uint64_t> idx(dim);
   const std::uint64_t num_bases = dim_ >> k;
   for (std::uint64_t t = 0; t < num_bases; ++t) {
@@ -290,17 +429,17 @@ void BatchedStatevector::apply_matrix(const CMat& u,
       for (std::size_t j = 0; j < k; ++j)
         if ((s >> j) & 1) i |= masks[j];
       idx[s] = i;
-      const double* __restrict__ r = &re_[i * L];
-      const double* __restrict__ m = &im_[i * L];
-      for (std::size_t l = 0; l < L; ++l) {
-        lr[s * L + l] = r[l];
-        li[s * L + l] = m[l];
+      const double* __restrict__ r = re + i * L;
+      const double* __restrict__ m = im + i * L;
+      for (std::size_t l = 0; l < n; ++l) {
+        lr[s * n + l] = r[l];
+        li[s * n + l] = m[l];
       }
     }
     for (std::uint64_t r = 0; r < dim; ++r) {
-      double* __restrict__ outr = &re_[idx[r] * L];
-      double* __restrict__ outm = &im_[idx[r] * L];
-      for (std::size_t l = 0; l < L; ++l) {
+      double* __restrict__ outr = re + idx[r] * L;
+      double* __restrict__ outm = im + idx[r] * L;
+      for (std::size_t l = 0; l < n; ++l) {
         outr[l] = 0.0;
         outm[l] = 0.0;
       }
@@ -308,9 +447,9 @@ void BatchedStatevector::apply_matrix(const CMat& u,
       // the scalar path's exact summation order.
       for (std::uint64_t s = 0; s < dim; ++s) {
         const double cr = u(r, s).real(), ci = u(r, s).imag();
-        const double* __restrict__ ar = &lr[s * L];
-        const double* __restrict__ ai = &li[s * L];
-        for (std::size_t l = 0; l < L; ++l) {
+        const double* __restrict__ ar = &lr[s * n];
+        const double* __restrict__ ai = &li[s * n];
+        for (std::size_t l = 0; l < n; ++l) {
           const double pr = cr * ar[l] - ci * ai[l];
           const double pi = cr * ai[l] + ci * ar[l];
           outr[l] += pr;
@@ -380,39 +519,6 @@ void BatchedStatevector::damp_or_jump(std::size_t q, const double* take,
   });
 }
 
-void BatchedStatevector::apply_matrix_lane(const CMat& u, std::size_t q, std::size_t lane) {
-  HGP_REQUIRE(u.rows() == 2 && u.cols() == 2, "apply_matrix_lane: expected a 2x2 operator");
-  HGP_REQUIRE(q < num_qubits_ && lane < lanes_, "apply_matrix_lane: out of range");
-  const std::uint64_t bit = std::uint64_t{1} << q;
-  const std::size_t L = lanes_;
-  const cxd u00 = u(0, 0), u01 = u(0, 1), u10 = u(1, 0), u11 = u(1, 1);
-  auto at = [&](std::uint64_t i) -> cxd { return {re_[i * L + lane], im_[i * L + lane]}; };
-  auto put = [&](std::uint64_t i, cxd a) {
-    re_[i * L + lane] = a.real();
-    im_[i * L + lane] = a.imag();
-  };
-  // Same dispatch and arithmetic as the scalar 1q kernels, restricted to one
-  // lane (strided access — this is the rare per-lane Pauli-branch path).
-  if (is_zero(u01) && is_zero(u10)) {
-    for (std::uint64_t i = 0; i < dim_; ++i) put(i, at(i) * ((i & bit) ? u11 : u00));
-    return;
-  }
-  if (is_zero(u00) && is_zero(u11)) {
-    for_each_pair_base(dim_, bit, [&](std::uint64_t i) {
-      const cxd a0 = at(i);
-      put(i, u01 * at(i | bit));
-      put(i | bit, u10 * a0);
-    });
-    return;
-  }
-  for_each_pair_base(dim_, bit, [&](std::uint64_t i) {
-    const cxd a0 = at(i);
-    const cxd a1 = at(i | bit);
-    put(i, u00 * a0 + u01 * a1);
-    put(i | bit, u10 * a0 + u11 * a1);
-  });
-}
-
 void BatchedStatevector::apply_pauli_lanes(std::size_t q, const std::uint8_t* codes) {
   HGP_REQUIRE(q < num_qubits_, "apply_pauli_lanes: qubit out of range");
   const std::uint64_t bit = std::uint64_t{1} << q;
@@ -460,393 +566,64 @@ void BatchedStatevector::apply_matrix_per_lane(const std::vector<CMat>& us,
   const std::size_t k = qubits.size();
   const std::size_t L = lanes_;
   HGP_REQUIRE(us.size() == L, "apply_matrix_per_lane: one operator per lane");
-  const std::size_t rows = std::size_t{1} << k;
-  for (const CMat& u : us)
-    HGP_REQUIRE(u.rows() == rows && u.cols() == rows,
-                "apply_matrix_per_lane: matrix size mismatch");
-  for (std::size_t q : qubits)
-    HGP_REQUIRE(q < num_qubits_, "apply_matrix_per_lane: qubit out of range");
+  for (const CMat& u : us) check_operator(u, qubits, "apply_matrix_per_lane");
+
+  auto all_lanes = [&](auto&& pred) { return std::all_of(us.begin(), us.end(), pred); };
+  auto no_lane = [&](auto&& pred) { return std::none_of(us.begin(), us.end(), pred); };
+  double* re = re_.data();
+  double* im = im_.data();
 
   if (k == 1) {
-    const std::uint64_t bit = std::uint64_t{1} << qubits[0];
-    bool all_diag = true, all_anti = true;
-    for (const CMat& u : us) {
-      if (!detail::is_diagonal2(u)) all_diag = false;
-      if (!detail::is_antidiagonal2(u)) all_anti = false;
-    }
-    if (all_diag) {
-      // Per-lane diagonal phases: d0/d1 coefficient rows in the gather
-      // scratch, one mul_row-shaped pass per half.
-      double* __restrict__ d0r = &scratch_re_[0];
-      double* __restrict__ d1r = &scratch_re_[L];
-      double* __restrict__ d0i = &scratch_im_[0];
-      double* __restrict__ d1i = &scratch_im_[L];
-      for (std::size_t l = 0; l < L; ++l) {
-        d0r[l] = us[l](0, 0).real();
-        d0i[l] = us[l](0, 0).imag();
-        d1r[l] = us[l](1, 1).real();
-        d1i[l] = us[l](1, 1).imag();
-      }
-      for_each_pair_base(dim_, bit, [&](std::uint64_t i) {
-        double* __restrict__ r0 = &re_[i * L];
-        double* __restrict__ m0 = &im_[i * L];
-        double* __restrict__ r1 = &re_[(i | bit) * L];
-        double* __restrict__ m1 = &im_[(i | bit) * L];
-        for (std::size_t l = 0; l < L; ++l) {
-          const double ar0 = r0[l], ai0 = m0[l];
-          const double ar1 = r1[l], ai1 = m1[l];
-          r0[l] = d0r[l] * ar0 - d0i[l] * ai0;
-          m0[l] = d0r[l] * ai0 + d0i[l] * ar0;
-          r1[l] = d1r[l] * ar1 - d1i[l] * ai1;
-          m1[l] = d1r[l] * ai1 + d1i[l] * ar1;
-        }
-      });
+    std::uint64_t offset[2];
+    group_offsets(qubits, offset);
+    if (all_lanes(detail::is_diagonal2)) {
+      per_lane_term(re, im, dim_, L, offset, us, 0);
       return;
     }
-    if (all_anti) {
-      double* __restrict__ p01r = &scratch_re_[0];
-      double* __restrict__ p10r = &scratch_re_[L];
-      double* __restrict__ p01i = &scratch_im_[0];
-      double* __restrict__ p10i = &scratch_im_[L];
-      for (std::size_t l = 0; l < L; ++l) {
-        p01r[l] = us[l](0, 1).real();
-        p01i[l] = us[l](0, 1).imag();
-        p10r[l] = us[l](1, 0).real();
-        p10i[l] = us[l](1, 0).imag();
-      }
-      for_each_pair_base(dim_, bit, [&](std::uint64_t i) {
-        double* __restrict__ r0 = &re_[i * L];
-        double* __restrict__ m0 = &im_[i * L];
-        double* __restrict__ r1 = &re_[(i | bit) * L];
-        double* __restrict__ m1 = &im_[(i | bit) * L];
-        for (std::size_t l = 0; l < L; ++l) {
-          const double ar0 = r0[l], ai0 = m0[l];
-          const double ar1 = r1[l], ai1 = m1[l];
-          r0[l] = p01r[l] * ar1 - p01i[l] * ai1;
-          m0[l] = p01r[l] * ai1 + p01i[l] * ar1;
-          r1[l] = p10r[l] * ar0 - p10i[l] * ai0;
-          m1[l] = p10r[l] * ai0 + p10i[l] * ar0;
-        }
-      });
+    if (all_lanes(detail::is_antidiagonal2)) {
+      per_lane_term(re, im, dim_, L, offset, us, 1);
       return;
     }
-    bool all_dense = true;
-    for (const CMat& u : us)
-      if (detail::is_diagonal2(u) || detail::is_antidiagonal2(u)) all_dense = false;
-    if (all_dense) {
-      std::vector<double> cr(4 * L), ci(4 * L);
-      for (std::size_t l = 0; l < L; ++l)
-        for (std::size_t e = 0; e < 4; ++e) {
-          cr[e * L + l] = us[l](e >> 1, e & 1).real();
-          ci[e * L + l] = us[l](e >> 1, e & 1).imag();
-        }
-      const double* __restrict__ u00r = &cr[0 * L];
-      const double* __restrict__ u01r = &cr[1 * L];
-      const double* __restrict__ u10r = &cr[2 * L];
-      const double* __restrict__ u11r = &cr[3 * L];
-      const double* __restrict__ u00i = &ci[0 * L];
-      const double* __restrict__ u01i = &ci[1 * L];
-      const double* __restrict__ u10i = &ci[2 * L];
-      const double* __restrict__ u11i = &ci[3 * L];
-      for_each_pair_base(dim_, bit, [&](std::uint64_t i) {
-        double* __restrict__ r0 = &re_[i * L];
-        double* __restrict__ m0 = &im_[i * L];
-        double* __restrict__ r1 = &re_[(i | bit) * L];
-        double* __restrict__ m1 = &im_[(i | bit) * L];
-        for (std::size_t l = 0; l < L; ++l) {
-          const double ar0 = r0[l], ai0 = m0[l];
-          const double ar1 = r1[l], ai1 = m1[l];
-          r0[l] = (u00r[l] * ar0 - u00i[l] * ai0) + (u01r[l] * ar1 - u01i[l] * ai1);
-          m0[l] = (u00r[l] * ai0 + u00i[l] * ar0) + (u01r[l] * ai1 + u01i[l] * ar1);
-          r1[l] = (u10r[l] * ar0 - u10i[l] * ai0) + (u11r[l] * ar1 - u11i[l] * ai1);
-          m1[l] = (u10r[l] * ai0 + u10i[l] * ar0) + (u11r[l] * ai1 + u11i[l] * ar1);
-        }
-      });
+    if (no_lane(detail::is_diagonal2) && no_lane(detail::is_antidiagonal2)) {
+      per_lane_dense(re, im, dim_, L, offset, us);
       return;
     }
-    // Mixed structure classes: each lane takes its own scalar dispatch.
-    for (std::size_t l = 0; l < L; ++l) apply_matrix_lane(us[l], qubits[0], l);
-    return;
   }
 
   if (k == 2) {
-    const std::uint64_t b0 = std::uint64_t{1} << qubits[0];
-    const std::uint64_t b1 = std::uint64_t{1} << qubits[1];
     std::uint64_t offset[4];
-    for (std::size_t s = 0; s < 4; ++s)
-      offset[s] = ((s & 1) ? b0 : 0) | ((s & 2) ? b1 : 0);
-
-    bool all_diag = true;
-    for (const CMat& u : us)
-      if (!detail::is_diagonal4(u)) all_diag = false;
-    if (all_diag) {
-      // The per-lane-theta RZZ kernel: four per-lane phase rows, one
-      // quad-base sweep.
-      for (std::size_t l = 0; l < L; ++l)
-        for (std::size_t s = 0; s < 4; ++s) {
-          scratch_re_[s * L + l] = us[l](s, s).real();
-          scratch_im_[s * L + l] = us[l](s, s).imag();
-        }
-      for_each_quad_base(dim_, b0, b1, [&](std::uint64_t i) {
-        for (std::size_t s = 0; s < 4; ++s) {
-          const double* __restrict__ dr = &scratch_re_[s * L];
-          const double* __restrict__ di = &scratch_im_[s * L];
-          double* __restrict__ r = &re_[(i | offset[s]) * L];
-          double* __restrict__ m = &im_[(i | offset[s]) * L];
-          for (std::size_t l = 0; l < L; ++l) {
-            const double ar = r[l], ai = m[l];
-            r[l] = dr[l] * ar - di[l] * ai;
-            m[l] = dr[l] * ai + di[l] * ar;
-          }
-        }
-      });
+    group_offsets(qubits, offset);
+    // The per-lane-theta RZZ kernel.
+    if (all_lanes(detail::is_diagonal4)) {
+      per_lane_term(re, im, dim_, L, offset, us, 0);
       return;
     }
-
-    bool any_structured = false;
     detail::Perm4 p4;
-    for (const CMat& u : us)
-      if (detail::is_diagonal4(u) || detail::as_permutation4(u, p4)) any_structured = true;
-    if (!any_structured) {
-      // All-dense: per-lane 4x4 coefficient rows, gather scratch as in the
-      // broadcast kernel, the same product/association order per lane.
-      std::vector<double> cr(16 * L), ci(16 * L);
-      for (std::size_t l = 0; l < L; ++l)
-        for (std::size_t r = 0; r < 4; ++r)
-          for (std::size_t c = 0; c < 4; ++c) {
-            cr[(r * 4 + c) * L + l] = us[l](r, c).real();
-            ci[(r * 4 + c) * L + l] = us[l](r, c).imag();
-          }
-      std::vector<double>& sr = scratch_re_;
-      std::vector<double>& si = scratch_im_;
-      for_each_quad_base(dim_, b0, b1, [&](std::uint64_t i) {
-        for (std::size_t s = 0; s < 4; ++s) {
-          const double* __restrict__ r = &re_[(i | offset[s]) * L];
-          const double* __restrict__ m = &im_[(i | offset[s]) * L];
-          for (std::size_t l = 0; l < L; ++l) {
-            sr[s * L + l] = r[l];
-            si[s * L + l] = m[l];
-          }
-        }
-        for (std::size_t r = 0; r < 4; ++r) {
-          double* __restrict__ outr = &re_[(i | offset[r]) * L];
-          double* __restrict__ outm = &im_[(i | offset[r]) * L];
-          const double* __restrict__ ur0 = &cr[(r * 4 + 0) * L];
-          const double* __restrict__ ur1 = &cr[(r * 4 + 1) * L];
-          const double* __restrict__ ur2 = &cr[(r * 4 + 2) * L];
-          const double* __restrict__ ur3 = &cr[(r * 4 + 3) * L];
-          const double* __restrict__ ui0 = &ci[(r * 4 + 0) * L];
-          const double* __restrict__ ui1 = &ci[(r * 4 + 1) * L];
-          const double* __restrict__ ui2 = &ci[(r * 4 + 2) * L];
-          const double* __restrict__ ui3 = &ci[(r * 4 + 3) * L];
-          for (std::size_t l = 0; l < L; ++l) {
-            const double p0r = ur0[l] * sr[0 * L + l] - ui0[l] * si[0 * L + l];
-            const double p0i = ur0[l] * si[0 * L + l] + ui0[l] * sr[0 * L + l];
-            const double p1r = ur1[l] * sr[1 * L + l] - ui1[l] * si[1 * L + l];
-            const double p1i = ur1[l] * si[1 * L + l] + ui1[l] * sr[1 * L + l];
-            const double p2r = ur2[l] * sr[2 * L + l] - ui2[l] * si[2 * L + l];
-            const double p2i = ur2[l] * si[2 * L + l] + ui2[l] * sr[2 * L + l];
-            const double p3r = ur3[l] * sr[3 * L + l] - ui3[l] * si[3 * L + l];
-            const double p3i = ur3[l] * si[3 * L + l] + ui3[l] * sr[3 * L + l];
-            outr[l] = ((p0r + p1r) + p2r) + p3r;
-            outm[l] = ((p0i + p1i) + p2i) + p3i;
-          }
-        }
-      });
+    if (no_lane([&](const CMat& u) {
+          return detail::is_diagonal4(u) || detail::as_permutation4(u, p4);
+        })) {
+      per_lane_dense(re, im, dim_, L, offset, us);
       return;
     }
   }
 
   if (k == 3) {
-    bool all_diag = true;
-    for (const CMat& u : us)
-      if (!detail::is_diagonal_n(u)) all_diag = false;
-    if (all_diag) {
-      // Width-3 fused diagonal chains with per-lane parameters: eight
-      // per-lane phase rows, one oct-base sweep.
-      const std::uint64_t b0 = std::uint64_t{1} << qubits[0];
-      const std::uint64_t b1 = std::uint64_t{1} << qubits[1];
-      const std::uint64_t b2 = std::uint64_t{1} << qubits[2];
-      std::uint64_t offset[8];
-      for (std::size_t s = 0; s < 8; ++s)
-        offset[s] = ((s & 1) ? b0 : 0) | ((s & 2) ? b1 : 0) | ((s & 4) ? b2 : 0);
-      for (std::size_t l = 0; l < L; ++l)
-        for (std::size_t s = 0; s < 8; ++s) {
-          scratch_re_[s * L + l] = us[l](s, s).real();
-          scratch_im_[s * L + l] = us[l](s, s).imag();
-        }
-      detail::for_each_oct_base(dim_, b0, b1, b2, [&](std::uint64_t i) {
-        for (std::size_t s = 0; s < 8; ++s) {
-          const double* __restrict__ dr = &scratch_re_[s * L];
-          const double* __restrict__ di = &scratch_im_[s * L];
-          double* __restrict__ r = &re_[(i | offset[s]) * L];
-          double* __restrict__ m = &im_[(i | offset[s]) * L];
-          for (std::size_t l = 0; l < L; ++l) {
-            const double ar = r[l], ai = m[l];
-            r[l] = dr[l] * ar - di[l] * ai;
-            m[l] = dr[l] * ai + di[l] * ar;
-          }
-        }
-      });
+    std::uint64_t offset[8];
+    group_offsets(qubits, offset);
+    // Width-3 fused diagonal chains and dense blocks with per-lane parameters.
+    if (all_lanes(detail::is_diagonal_n)) {
+      per_lane_term(re, im, dim_, L, offset, us, 0);
       return;
     }
-
-    bool any_diag = false;
-    for (const CMat& u : us)
-      if (detail::is_diagonal_n(u)) any_diag = true;
-    if (!any_diag) {
-      // All-dense width-3 fused blocks with per-lane parameters: per-lane
-      // 8x8 coefficient rows, gather scratch, and the broadcast dense
-      // kernel's product/association order per lane (products rounded
-      // first, summed in ascending s).
-      const std::uint64_t b0 = std::uint64_t{1} << qubits[0];
-      const std::uint64_t b1 = std::uint64_t{1} << qubits[1];
-      const std::uint64_t b2 = std::uint64_t{1} << qubits[2];
-      std::uint64_t offset[8];
-      for (std::size_t s = 0; s < 8; ++s)
-        offset[s] = ((s & 1) ? b0 : 0) | ((s & 2) ? b1 : 0) | ((s & 4) ? b2 : 0);
-      std::vector<double> cr(64 * L), ci(64 * L);
-      for (std::size_t l = 0; l < L; ++l)
-        for (std::size_t r = 0; r < 8; ++r)
-          for (std::size_t c = 0; c < 8; ++c) {
-            cr[(r * 8 + c) * L + l] = us[l](r, c).real();
-            ci[(r * 8 + c) * L + l] = us[l](r, c).imag();
-          }
-      std::vector<double>& sr = scratch_re_;
-      std::vector<double>& si = scratch_im_;
-      detail::for_each_oct_base(dim_, b0, b1, b2, [&](std::uint64_t i) {
-        for (std::size_t s = 0; s < 8; ++s) {
-          const double* __restrict__ r = &re_[(i | offset[s]) * L];
-          const double* __restrict__ m = &im_[(i | offset[s]) * L];
-          for (std::size_t l = 0; l < L; ++l) {
-            sr[s * L + l] = r[l];
-            si[s * L + l] = m[l];
-          }
-        }
-        for (std::size_t r = 0; r < 8; ++r) {
-          double* __restrict__ outr = &re_[(i | offset[r]) * L];
-          double* __restrict__ outm = &im_[(i | offset[r]) * L];
-          for (std::size_t l = 0; l < L; ++l) {
-            outr[l] = 0.0;
-            outm[l] = 0.0;
-          }
-          for (std::size_t s = 0; s < 8; ++s) {
-            const double* __restrict__ ur = &cr[(r * 8 + s) * L];
-            const double* __restrict__ ui = &ci[(r * 8 + s) * L];
-            const double* __restrict__ ar = &sr[s * L];
-            const double* __restrict__ ai = &si[s * L];
-            for (std::size_t l = 0; l < L; ++l) {
-              const double pr = ur[l] * ar[l] - ui[l] * ai[l];
-              const double pi = ur[l] * ai[l] + ui[l] * ar[l];
-              outr[l] += pr;
-              outm[l] += pi;
-            }
-          }
-        }
-      });
+    if (no_lane(detail::is_diagonal_n)) {
+      per_lane_dense(re, im, dim_, L, offset, us);
       return;
     }
   }
 
-  // Mixed structure, permutation, or k > 2: per-lane strided applies with
-  // the scalar dispatch.
-  for (std::size_t l = 0; l < L; ++l) apply_matrix_one_lane(us[l], qubits, l);
-}
-
-void BatchedStatevector::apply_matrix_one_lane(const CMat& u,
-                                               const std::vector<std::size_t>& qubits,
-                                               std::size_t lane) {
-  const std::size_t k = qubits.size();
-  HGP_REQUIRE(u.rows() == (std::size_t{1} << k) && u.cols() == u.rows(),
-              "apply_matrix_one_lane: matrix size mismatch");
-  HGP_REQUIRE(lane < lanes_, "apply_matrix_one_lane: lane out of range");
-  for (std::size_t q : qubits)
-    HGP_REQUIRE(q < num_qubits_, "apply_matrix_one_lane: qubit out of range");
-  if (k == 1) {
-    apply_matrix_lane(u, qubits[0], lane);
-    return;
-  }
-  const std::size_t L = lanes_;
-  auto at = [&](std::uint64_t i) -> cxd { return {re_[i * L + lane], im_[i * L + lane]}; };
-  auto put = [&](std::uint64_t i, cxd a) {
-    re_[i * L + lane] = a.real();
-    im_[i * L + lane] = a.imag();
-  };
-
-  if (k == 2) {
-    const std::uint64_t b0 = std::uint64_t{1} << qubits[0];
-    const std::uint64_t b1 = std::uint64_t{1} << qubits[1];
-    if (detail::is_diagonal4(u)) {
-      const cxd d[4] = {u(0, 0), u(1, 1), u(2, 2), u(3, 3)};
-      for (std::uint64_t i = 0; i < dim_; ++i) {
-        const std::size_t sub = ((i & b0) ? 1u : 0u) | ((i & b1) ? 2u : 0u);
-        put(i, at(i) * d[sub]);
-      }
-      return;
-    }
-    detail::Perm4 p4;
-    if (detail::as_permutation4(u, p4)) {
-      std::uint64_t offset[4];
-      for (std::size_t s = 0; s < 4; ++s)
-        offset[s] = ((s & 1) ? b0 : 0) | ((s & 2) ? b1 : 0);
-      for_each_quad_base(dim_, b0, b1, [&](std::uint64_t i) {
-        cxd a[4];
-        for (std::size_t s = 0; s < 4; ++s) a[s] = at(i | offset[s]);
-        for (std::size_t s = 0; s < 4; ++s) put(i | offset[p4.perm[s]], p4.phase[s] * a[s]);
-      });
-      return;
-    }
-    for_each_quad_base(dim_, b0, b1, [&](std::uint64_t i) {
-      const std::uint64_t i0 = i, i1 = i | b0, i2 = i | b1, i3 = i | b0 | b1;
-      const cxd a0 = at(i0), a1 = at(i1), a2 = at(i2), a3 = at(i3);
-      put(i0, u(0, 0) * a0 + u(0, 1) * a1 + u(0, 2) * a2 + u(0, 3) * a3);
-      put(i1, u(1, 0) * a0 + u(1, 1) * a1 + u(1, 2) * a2 + u(1, 3) * a3);
-      put(i2, u(2, 0) * a0 + u(2, 1) * a1 + u(2, 2) * a2 + u(2, 3) * a3);
-      put(i3, u(3, 0) * a0 + u(3, 1) * a1 + u(3, 2) * a2 + u(3, 3) * a3);
-    });
-    return;
-  }
-
-  if (k == 3 && detail::is_diagonal_n(u)) {
-    // Mirror of the scalar backend's diagonal-8 fast path, one lane's stride.
-    const std::uint64_t b0 = std::uint64_t{1} << qubits[0];
-    const std::uint64_t b1 = std::uint64_t{1} << qubits[1];
-    const std::uint64_t b2 = std::uint64_t{1} << qubits[2];
-    cxd d[8];
-    for (std::size_t s = 0; s < 8; ++s) d[s] = u(s, s);
-    for (std::uint64_t i = 0; i < dim_; ++i) {
-      const std::size_t sub =
-          ((i & b0) ? 1u : 0u) | ((i & b1) ? 2u : 0u) | ((i & b2) ? 4u : 0u);
-      put(i, at(i) * d[sub]);
-    }
-    return;
-  }
-
-  // Generic k: the scalar backend's block enumeration, one lane's stride.
-  const std::size_t dim = std::size_t{1} << k;
-  std::vector<std::uint64_t> masks(k);
-  for (std::size_t j = 0; j < k; ++j) masks[j] = std::uint64_t{1} << qubits[j];
-  std::vector<std::uint64_t> sorted_masks = masks;
-  std::sort(sorted_masks.begin(), sorted_masks.end());
-  std::vector<cxd> local(dim);
-  const std::uint64_t num_bases = dim_ >> k;
-  for (std::uint64_t t = 0; t < num_bases; ++t) {
-    const std::uint64_t base = detail::expand_base(t, sorted_masks.data(), k);
-    for (std::uint64_t s = 0; s < dim; ++s) {
-      std::uint64_t idx = base;
-      for (std::size_t j = 0; j < k; ++j)
-        if ((s >> j) & 1) idx |= masks[j];
-      local[s] = at(idx);
-    }
-    for (std::uint64_t r = 0; r < dim; ++r) {
-      cxd acc{0.0, 0.0};
-      for (std::uint64_t s = 0; s < dim; ++s) acc += u(r, s) * local[s];
-      std::uint64_t idx = base;
-      for (std::size_t j = 0; j < k; ++j)
-        if ((r >> j) & 1) idx |= masks[j];
-      put(idx, acc);
-    }
-  }
+  // Mixed structure classes, permutations, or k > 3: each lane takes its own
+  // structure dispatch.
+  for (std::size_t l = 0; l < L; ++l) apply_to_lanes(us[l], qubits, l, l + 1);
 }
 
 void BatchedStatevector::weighted_masses(const double* values, double* num,

@@ -12,10 +12,12 @@ namespace hgp::sim {
 /// B statevector trajectories evolved in lockstep: a structure-of-lanes
 /// layout with separate real/imaginary planes, `re_[i * lanes + l]` holding
 /// the real part of basis index i in lane l. Deterministic gates apply once
-/// across all lanes — the 1q/2q kernels (including the diagonal /
-/// anti-diagonal / permutation fast paths) loop over the contiguous lane
-/// dimension with scalar-broadcast matrix elements, so a single core
-/// auto-vectorizes the inner loop instead of re-dispatching per shot.
+/// across all lanes instead of re-dispatching per shot. The 1q kernels and
+/// the diagonal fast paths loop over the contiguous lane dimension with
+/// scalar-broadcast matrix elements; the kernels that combine several rows
+/// (permutation and dense 2q/3q, and the per-lane operators) work on one
+/// tile of 8 lanes at a time, with the tile's input rows copied into
+/// fixed-size local arrays the compiler keeps in vector registers.
 ///
 /// Determinism contract: every kernel mirrors the scalar `Statevector`
 /// kernel's complex arithmetic expression-for-expression (same products,
@@ -72,7 +74,8 @@ class BatchedStatevector {
   void damp_or_jump(std::size_t q, const double* take, const double* scale1);
 
   /// Apply a 1-qubit operator to one lane only (the rare Pauli-jump path of
-  /// per-lane depolarizing branches). Mirrors the scalar 1q kernels exactly.
+  /// per-lane depolarizing branches): the broadcast 1q kernels run on that
+  /// lane alone.
   void apply_matrix_lane(const la::CMat& u, std::size_t q, std::size_t lane);
 
   /// Grouped Pauli pass of the depolarizing channel: codes[l] in {0=I, 1=X,
@@ -90,13 +93,21 @@ class BatchedStatevector {
   /// blocks of a candidate-lane batch, where every lane shares the circuit
   /// structure but carries its own rotation angle. us[l] acts on lane l
   /// (us.size() == lanes()). When all lanes share one structure class (all
-  /// 1q diagonal / anti-diagonal / dense, or all 2q diagonal / dense) the
-  /// kernel is lane-vectorized with per-lane coefficient rows; mixed classes
-  /// and k > 2 fall back to per-lane strided applies. Either way lane l ends
-  /// up bitwise identical (up to zero signs) to a scalar
+  /// 1q diagonal / anti-diagonal / dense, or all 2q/3q diagonal / dense) the
+  /// kernel runs one lane tile at a time with the tile's coefficients packed
+  /// into local rows; mixed classes, permutations and k > 3 fall back to
+  /// apply_matrix_one_lane per lane. Either way lane l ends up bitwise
+  /// identical (up to zero signs) to a scalar
   /// Statevector::apply_matrix(us[l], qubits).
   void apply_matrix_per_lane(const std::vector<la::CMat>& us,
                              const std::vector<std::size_t>& qubits);
+
+  /// Apply a k-qubit operator to one lane only: apply_matrix's structure
+  /// dispatch and kernels, run on that lane alone (for the gather kernels,
+  /// their 1-lane tail). The reference the full lane tiles are pinned
+  /// against. Generalizes apply_matrix_lane beyond one qubit.
+  void apply_matrix_one_lane(const la::CMat& u, const std::vector<std::size_t>& qubits,
+                             std::size_t lane);
 
   // ---- lane-native objective reductions (no terminal sampling) ----
 
@@ -130,21 +141,21 @@ class BatchedStatevector {
                      std::uint64_t* out) const;
 
  private:
-  /// Apply a k-qubit operator to one lane only (strided), with the scalar
-  /// backend's full structure dispatch — the mixed-structure fallback of
-  /// apply_matrix_per_lane. Generalizes apply_matrix_lane beyond one qubit.
-  void apply_matrix_one_lane(const la::CMat& u, const std::vector<std::size_t>& qubits,
-                             std::size_t lane);
+  /// Reject a matrix of the wrong size and out-of-range or repeated qubits;
+  /// `what` prefixes the error message.
+  void check_operator(const la::CMat& u, const std::vector<std::size_t>& qubits,
+                      const char* what) const;
+  /// apply_matrix restricted to the lanes [lb, le), after check_operator.
+  void apply_to_lanes(const la::CMat& u, const std::vector<std::size_t>& qubits,
+                      std::size_t lb, std::size_t le);
 
   std::size_t num_qubits_ = 0;
   std::size_t dim_ = 0;
   std::size_t lanes_ = 0;
   std::vector<double> re_, im_;
-  // Gather scratch of the 2q/3q kernels (8 rows x lanes) and sampling scratch,
-  // allocated once so the hot loop never touches the allocator. Instances
-  // are used from one thread at a time (the engine keeps one per worker), so
-  // mutable scratch in const sampling methods is safe.
-  std::vector<double> scratch_re_, scratch_im_;
+  // Sampling scratch, allocated once so the hot loop never touches the
+  // allocator. Instances are used from one thread at a time (the engine
+  // keeps one per worker), so mutable scratch in const methods is safe.
   mutable std::vector<double> acc_;
   mutable std::vector<std::uint8_t> done_;
 };

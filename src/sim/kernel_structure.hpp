@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <vector>
 
 #include "linalg/matrix.hpp"
 #include "linalg/types.hpp"
@@ -15,6 +16,16 @@ namespace hgp::sim::detail {
 /// bit-identical counts, so the detection logic lives here exactly once.
 
 inline bool is_zero(const la::cxd& x) { return x.real() == 0.0 && x.imag() == 0.0; }
+
+/// True when a target list names some qubit twice. Every backend rejects
+/// such a list: the kernels would read and write the same amplitude as two
+/// different sub-indices.
+inline bool has_duplicate_qubit(const std::vector<std::size_t>& qubits) {
+  for (std::size_t a = 0; a < qubits.size(); ++a)
+    for (std::size_t b = a + 1; b < qubits.size(); ++b)
+      if (qubits[a] == qubits[b]) return true;
+  return false;
+}
 
 /// Iterate f(i) over all basis indices with bit `b` clear — nested block
 /// iteration touches exactly size/2 indices instead of a skip-test over all.

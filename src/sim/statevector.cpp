@@ -46,6 +46,7 @@ void Statevector::apply_matrix(const CMat& u, const std::vector<std::size_t>& qu
   HGP_REQUIRE(u.rows() == (std::size_t{1} << k) && u.cols() == u.rows(),
               "apply_matrix: matrix size does not match qubit count");
   for (std::size_t q : qubits) HGP_REQUIRE(q < num_qubits_, "apply_matrix: qubit out of range");
+  HGP_REQUIRE(!detail::has_duplicate_qubit(qubits), "apply_matrix: duplicate qubit");
 
   if (k == 1) {
     const std::uint64_t bit = std::uint64_t{1} << qubits[0];

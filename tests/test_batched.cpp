@@ -7,6 +7,7 @@
 #include <cmath>
 
 #include "backend/presets.hpp"
+#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "core/executor.hpp"
 #include "core/models.hpp"
@@ -259,6 +260,118 @@ TEST(BatchedKernels, BroadcastMatrixMatchesScalarPerLane) {
       EXPECT_NEAR(got.real(), want.real(), 1e-12) << "lane " << l << " i " << i;
       EXPECT_NEAR(got.imag(), want.imag(), 1e-12) << "lane " << l << " i " << i;
     }
+}
+
+TEST(BatchedKernels, TiledKernelsBitIdenticalAcrossLaneCounts) {
+  // The gather kernels run 8-lane tiles plus a 1-lane tail: lane counts on
+  // both sides of every tile boundary. Each broadcast and per-lane kernel
+  // must leave every lane exactly (==) where the strided single-lane
+  // reference puts it.
+  constexpr std::size_t kQubits = 4;
+  Rng rng(2718);
+  auto random_dense = [&](std::size_t dim) {
+    la::CMat u(dim, dim);
+    for (std::size_t r = 0; r < dim; ++r)
+      for (std::size_t c = 0; c < dim; ++c)
+        u(r, c) = la::cxd{rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)} /
+                  static_cast<double>(dim);
+    return u;
+  };
+  auto random_diagonal = [&](std::size_t dim) {
+    la::CMat u(dim, dim);
+    for (std::size_t s = 0; s < dim; ++s)
+      u(s, s) = la::cxd{rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)};
+    return u;
+  };
+  // Column c scatters to row perm[c] with a random weight; the 1q case is
+  // the anti-diagonal swap.
+  auto random_permutation = [&](std::size_t dim) {
+    std::vector<std::size_t> perm(dim);
+    for (std::size_t c = 0; c < dim; ++c) perm[c] = c;
+    if (dim == 2)
+      std::swap(perm[0], perm[1]);
+    else
+      rng.shuffle(perm);
+    la::CMat u(dim, dim);
+    for (std::size_t c = 0; c < dim; ++c)
+      u(perm[c], c) = la::cxd{rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)};
+    return u;
+  };
+  const std::vector<std::vector<std::size_t>> targets = {{2}, {3, 1}, {0, 3, 1}};
+
+  for (std::size_t lanes : {1, 7, 8, 9, 16, 17, 32}) {
+    sim::BatchedStatevector bsv(kQubits, lanes);
+    // The scalar backend (built without -march=native) evolves each lane
+    // alongside: the determinism contract itself, independent of this file.
+    std::vector<sim::Statevector> scalar(lanes, sim::Statevector(kQubits));
+    for (std::size_t l = 0; l < lanes; ++l)
+      for (std::size_t q = 0; q < kQubits; ++q) {
+        const la::CMat r = random_dense(2);
+        bsv.apply_matrix_lane(r, q, l);
+        scalar[l].apply_matrix(r, {q});
+      }
+
+    auto expect_lanes_match = [&](const sim::BatchedStatevector& ref, const char* what,
+                                  std::size_t k) {
+      for (std::size_t l = 0; l < lanes; ++l)
+        for (std::uint64_t i = 0; i < bsv.dim(); ++i) {
+          const la::cxd got = bsv.amplitude(i, l);
+          const la::cxd want = ref.amplitude(i, l);
+          const la::cxd oracle = scalar[l].data()[i];
+          ASSERT_TRUE(got.real() == want.real() && got.imag() == want.imag() &&
+                      got.real() == oracle.real() && got.imag() == oracle.imag())
+              << what << " k=" << k << " lanes=" << lanes << " lane " << l << " i " << i
+              << ": tiled " << got << ", one lane " << want << ", scalar " << oracle;
+        }
+    };
+    for (const auto& qubits : targets) {
+      const std::size_t dim = std::size_t{1} << qubits.size();
+      for (int kind = 0; kind < 3; ++kind) {
+        auto make = [&] {
+          return kind == 0 ? random_dense(dim)
+                           : kind == 1 ? random_diagonal(dim) : random_permutation(dim);
+        };
+        const char* what = kind == 0 ? "dense" : kind == 1 ? "diagonal" : "permutation";
+
+        const la::CMat u = make();
+        sim::BatchedStatevector ref = bsv;
+        bsv.apply_matrix(u, qubits);
+        for (std::size_t l = 0; l < lanes; ++l) {
+          ref.apply_matrix_one_lane(u, qubits, l);
+          scalar[l].apply_matrix(u, qubits);
+        }
+        expect_lanes_match(ref, what, qubits.size());
+
+        std::vector<la::CMat> us;
+        for (std::size_t l = 0; l < lanes; ++l) us.push_back(make());
+        ref = bsv;
+        bsv.apply_matrix_per_lane(us, qubits);
+        for (std::size_t l = 0; l < lanes; ++l) {
+          ref.apply_matrix_one_lane(us[l], qubits, l);
+          scalar[l].apply_matrix(us[l], qubits);
+        }
+        expect_lanes_match(ref, what, qubits.size());
+      }
+    }
+  }
+}
+
+TEST(BatchedKernels, RejectsDuplicateQubits) {
+  // A repeated target would read and write the same amplitudes as two
+  // different sub-indices; every entry point refuses it and leaves the
+  // lanes untouched, like the scalar and density backends.
+  constexpr std::size_t kLanes = 3;
+  sim::BatchedStatevector bsv(2, kLanes);
+  const la::CMat sx = qc::gate_matrix(qc::GateKind::SX);
+  for (std::size_t q = 0; q < 2; ++q) bsv.apply_matrix(sx, {q});
+  const sim::BatchedStatevector before = bsv;
+  const la::CMat sx2 = la::kron(sx, sx);
+  EXPECT_THROW(bsv.apply_matrix(sx2, {1, 1}), Error);
+  EXPECT_THROW(bsv.apply_matrix_per_lane(std::vector<la::CMat>(kLanes, sx2), {0, 0}), Error);
+  EXPECT_THROW(bsv.apply_matrix_one_lane(sx2, {1, 1}, 0), Error);
+  for (std::size_t l = 0; l < kLanes; ++l)
+    for (std::uint64_t i = 0; i < bsv.dim(); ++i)
+      EXPECT_EQ(bsv.amplitude(i, l), before.amplitude(i, l)) << "lane " << l << " i " << i;
 }
 
 TEST(BatchedKernels, LaneMaskedKrausBranchesMatchPerShotReference) {

@@ -215,6 +215,21 @@ TEST(Kernels, SpecializedTwoQubitPathsMatchGenericLift) {
   }
 }
 
+TEST(Kernels, RejectsDuplicateQubits) {
+  // kron(SX, SX) listed on {1, 1} would read and write the same amplitudes
+  // as two different sub-indices (the norm ends at 1.5); the backend must
+  // refuse it and leave the state untouched, as DensityMatrix does.
+  Statevector sv(2);
+  qc::Circuit prep(2);
+  prep.sx(0).sx(1);
+  sv.run(prep);
+  const la::CVec before = sv.data();
+  const la::CMat sx = qc::gate_matrix(qc::GateKind::SX);
+  EXPECT_THROW(sv.apply_matrix(la::kron(sx, sx), {1, 1}), Error);
+  EXPECT_THROW(sv.apply_matrix(la::kron(sx, la::kron(sx, sx)), {0, 1, 0}), Error);
+  EXPECT_EQ(la::max_abs_diff(sv.data(), before), 0.0);
+}
+
 TEST(Kernels, DiagonalAndAntiDiagonalOneQubitPathsMatchGenericLift) {
   for (const auto& [kind, params] :
        std::vector<std::pair<qc::GateKind, std::vector<double>>>{
