@@ -1,11 +1,8 @@
 #pragma once
 
-#include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <deque>
 #include <functional>
-#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -81,9 +78,8 @@ class FairJobQueue {
 class EvalService : public opt::BatchDispatcher {
  public:
   struct Options {
-    /// Worker threads (0 = hardware concurrency). With an adaptive pool
-    /// (max_workers > 0) this is the *initial* size, clamped into
-    /// [min_workers, max_workers].
+    /// Worker threads (0 = hardware concurrency). The pool keeps this size
+    /// for the service's lifetime.
     std::size_t num_workers = 0;
     /// LRU bound of the shared compiled-block cache.
     std::size_t cache_capacity = 4096;
@@ -92,17 +88,6 @@ class EvalService : public opt::BatchDispatcher {
     /// first executor that runs — the store's backend fingerprint comes from
     /// the device, which the service itself never sees.
     std::string block_store_path;
-    /// Adaptive pool: when max_workers > 0 a manager thread re-sizes the
-    /// pool against the queue-depth/utilization signals the service already
-    /// maintains — each adapt_interval tick with work still queued spawns
-    /// workers (up to max_workers), and a sustained idle queue retires one
-    /// (down to min_workers; a worker only retires when both queues are
-    /// empty, never mid-task). 0 = fixed pool of num_workers. Re-sizing
-    /// changes only where tasks run, never what they compute, so results
-    /// stay bit-identical while the pool breathes.
-    std::size_t min_workers = 1;
-    std::size_t max_workers = 0;
-    std::chrono::milliseconds adapt_interval{25};
   };
 
   EvalService() : EvalService(Options{}) {}
@@ -112,13 +97,8 @@ class EvalService : public opt::BatchDispatcher {
   EvalService(const EvalService&) = delete;
   EvalService& operator=(const EvalService&) = delete;
 
-  /// Workers currently alive (retired workers leave this count the moment
-  /// they exit). Fixed pools never change it; adaptive pools breathe between
-  /// min_workers and max_workers.
-  std::size_t num_workers() const { return alive_count_.load(std::memory_order_acquire); }
-  /// Pool grow/shrink event counts since construction (adaptive mode).
-  std::size_t pool_grow_events() const { return grow_events_.load(std::memory_order_acquire); }
-  std::size_t pool_shrink_events() const { return shrink_events_.load(std::memory_order_acquire); }
+  /// Worker threads in the pool (fixed at construction).
+  std::size_t num_workers() const { return workers_.size(); }
 
   /// The process-wide compiled-block cache shared by every executor running
   /// on this service (inject via ExecutorOptions::block_cache).
@@ -157,21 +137,7 @@ class EvalService : public opt::BatchDispatcher {
     std::exception_ptr error;
   };
 
-  /// One pool thread. The slot outlives the thread (it lives in workers_
-  /// until the manager or destructor reaps it); `exited` flips once the
-  /// thread is past its last touch of service state, so a join on it never
-  /// blocks behind pool work.
-  struct WorkerSlot {
-    std::thread thread;
-    std::atomic<bool> exited{false};
-  };
-
-  void worker_loop(WorkerSlot* slot);
-  /// Adaptive-mode manager: re-sizes the pool each adapt_interval tick and
-  /// reaps exited worker threads.
-  void manager_loop();
-  /// Start one worker. Caller holds mutex_.
-  void spawn_worker();
+  void worker_loop();
   /// Pop one task under `lock` (candidates first, then jobs — jobs only when
   /// `jobs_too`), run it unlocked. False when both queues are empty.
   bool run_one(std::unique_lock<std::mutex>& lock, bool jobs_too);
@@ -187,8 +153,6 @@ class EvalService : public opt::BatchDispatcher {
     obs::Counter* helping_steals;
     obs::Counter* worker_busy_ns;
     obs::Counter* worker_idle_ns;
-    obs::Counter* pool_grows;
-    obs::Counter* pool_shrinks;
     obs::Gauge* queue_depth;
     obs::Gauge* workers;
     obs::Histogram* candidate_wait_ns;
@@ -205,22 +169,7 @@ class EvalService : public opt::BatchDispatcher {
   /// ring keeps heavy tenants from starving light ones).
   FairJobQueue jobs_;
   bool stop_ = false;
-  /// Worker slots; a std::list so slot addresses stay stable while the pool
-  /// grows and shrinks. Guarded by mutex_.
-  std::list<WorkerSlot> workers_;
-  /// Workers alive (mutex_-guarded master copy + lock-free mirror).
-  std::size_t alive_workers_ = 0;
-  std::atomic<std::size_t> alive_count_{0};
-  /// Pending retirements: an idle worker that sees one decrements it and
-  /// exits. Guarded by mutex_.
-  std::size_t retire_requests_ = 0;
-  std::atomic<std::size_t> grow_events_{0};
-  std::atomic<std::size_t> shrink_events_{0};
-  /// Adaptive bounds ([min, max]; max == 0 means fixed) and tick length.
-  std::size_t min_workers_ = 1;
-  std::size_t max_workers_ = 0;
-  std::chrono::milliseconds adapt_interval_{25};
-  std::thread manager_;
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace hgp::serve

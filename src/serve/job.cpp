@@ -38,10 +38,6 @@ const std::string& job_error_code_name(JobErrorCode code) {
   return names[static_cast<int>(code)];
 }
 
-bool job_error_transient(JobErrorCode code) {
-  return code == JobErrorCode::QueueFull || code == JobErrorCode::BacklogFull;
-}
-
 Job::Job(JobId id, JobRequest request)
     : submitted_at(std::chrono::steady_clock::now()),
       id_(id),

@@ -61,7 +61,8 @@ bool job_transition_allowed(JobState from, JobState to);
 
 /// Structured error codes for every non-Completed outcome. Validation codes
 /// are produced by validate_job() before any executor is constructed;
-/// QueueFull/BacklogFull by admission control; the rest by the lifecycle.
+/// QueueFull by admission control; the rest by the lifecycle. The numbers
+/// are wire values: a code is never removed or renumbered.
 enum class JobErrorCode : int {
   None = 0,
   // -- validation (request never queued) --------------------------------
@@ -81,7 +82,7 @@ enum class JobErrorCode : int {
   BadTenant,          ///< empty tenant tag or non-positive fair-share weight
   // -- admission control ------------------------------------------------
   QueueFull,          ///< queued-job limit reached — retry later
-  BacklogFull,        ///< estimated backlog exceeds the configured bound
+  BacklogFull,        ///< no longer produced; keeps its number for the wire
   // -- lifecycle --------------------------------------------------------
   DeadlineExpired,    ///< soft deadline passed (queued or running)
   CancelRequested,    ///< client cancelled the job
@@ -91,9 +92,6 @@ enum class JobErrorCode : int {
 };
 
 const std::string& job_error_code_name(JobErrorCode code);
-/// Transient codes are worth retrying with backoff (queue pressure);
-/// everything else is permanent for an identical request.
-bool job_error_transient(JobErrorCode code);
 
 struct JobError {
   JobErrorCode code = JobErrorCode::None;

@@ -1,6 +1,7 @@
 #include "serve/job_validation.hpp"
 
 #include <cmath>
+#include <vector>
 
 namespace hgp::serve {
 
@@ -97,11 +98,31 @@ JobError validate_job(const JobRequest& request) {
     return fail(JobErrorCode::BadCvarAlpha,
                 label + ": cvar_alpha must lie in (0, 1]");
 
-  if (cfg.model.p < 1)
-    return fail(JobErrorCode::BadModel, label + ": model depth p must be >= 1");
-  if (job.kind != core::ModelKind::GateLevel && cfg.model.mixer_duration_dt < 1)
-    return fail(JobErrorCode::BadModel,
-                label + ": mixer pulse duration must be >= 1 dt");
+  if (cfg.model.p < 1 || cfg.model.p > kMaxModelDepth)
+    return fail(JobErrorCode::BadModel, label + ": model depth p outside [1, " +
+                                            std::to_string(kMaxModelDepth) + "]");
+  if (job.kind != core::ModelKind::GateLevel &&
+      (cfg.model.mixer_duration_dt < 1 || cfg.model.mixer_duration_dt > kMaxMixerDurationDt))
+    return fail(JobErrorCode::BadModel, label + ": mixer pulse duration outside [1, " +
+                                            std::to_string(kMaxMixerDurationDt) + "] dt");
+
+  // The router indexes device qubits by the layout's entries: one per
+  // instance vertex, each a distinct qubit of the backend.
+  const std::vector<std::size_t>& layout = cfg.model.initial_layout;
+  if (!layout.empty()) {
+    if (layout.size() != n)
+      return fail(JobErrorCode::BadModel,
+                  label + ": initial layout has " + std::to_string(layout.size()) +
+                      " entries for a " + std::to_string(n) + "-vertex instance");
+    std::vector<bool> used(job.dev->num_qubits(), false);
+    for (const std::size_t q : layout) {
+      if (q >= used.size() || used[q])
+        return fail(JobErrorCode::BadModel,
+                    label + ": initial layout entry " + std::to_string(q) +
+                        " is out of range or repeated on backend '" + job.dev->name() + "'");
+      used[q] = true;
+    }
+  }
 
   return {};
 }

@@ -16,6 +16,11 @@ inline constexpr std::size_t kMaxDensityQubits = 10;
 inline constexpr std::size_t kMaxShots = std::size_t{1} << 26;  // 67M
 inline constexpr int kMaxEvaluations = 1 << 20;
 inline constexpr std::size_t kMaxLanes = 4096;
+/// Model caps: QAOA depth and mixer pulse length (dt). The paper's runs use
+/// p <= 2 and mixers of at most 320 dt; these bounds only stop a request
+/// from building an absurdly deep or long model.
+inline constexpr int kMaxModelDepth = 64;
+inline constexpr int kMaxMixerDurationDt = 1 << 14;
 /// Longest soft deadline: half the steady clock's range (~146 years), so
 /// `submitted_at + deadline` stays representable for any uptime below the
 /// other half. Longer deadlines would overflow the nanosecond conversion.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <string>
 
 #include "common/error.hpp"
 
@@ -214,6 +215,21 @@ RouteOutcome route(const qc::Circuit& circuit, const backend::CouplingMap& map, 
   return out;
 }
 
+/// The physical qubits the first `count` entries of a fixed layout claim.
+/// Each entry must be a distinct qubit below np: the routers index per-qubit
+/// tables by them.
+std::vector<bool> claim_fixed(const std::vector<std::size_t>& fixed, std::size_t count,
+                              std::size_t np, const std::string& router) {
+  std::vector<bool> used(np, false);
+  for (std::size_t v = 0; v < count; ++v) {
+    HGP_REQUIRE(fixed[v] < np && !used[fixed[v]],
+                router + ": fixed layout entry " + std::to_string(fixed[v]) +
+                    " is out of range or repeated");
+    used[fixed[v]] = true;
+  }
+  return used;
+}
+
 Layout make_layout(std::size_t nv, std::size_t np, const std::vector<std::size_t>& v2p) {
   Layout l;
   l.v2p = v2p;
@@ -241,13 +257,10 @@ SabreResult sabre_route(const qc::Circuit& circuit, const backend::CouplingMap& 
   std::vector<std::size_t> init(np);
   if (!fixed_layout.empty()) {
     HGP_REQUIRE(fixed_layout.size() >= nv, "sabre_route: fixed layout too small");
-    std::vector<bool> used(np, false);
-    std::iota(init.begin(), init.end(), 0);
+    const std::size_t placed = std::min(fixed_layout.size(), np);
+    std::vector<bool> used = claim_fixed(fixed_layout, placed, np, "sabre_route");
     // Place virtual qubits as requested; fill remaining identities greedily.
-    for (std::size_t v = 0; v < fixed_layout.size() && v < np; ++v) {
-      init[v] = fixed_layout[v];
-      used[fixed_layout[v]] = true;
-    }
+    std::copy_n(fixed_layout.begin(), placed, init.begin());
     std::size_t next_free = 0;
     for (std::size_t v = fixed_layout.size(); v < np; ++v) {
       while (next_free < np && used[next_free]) ++next_free;
@@ -314,14 +327,12 @@ SabreResult greedy_route(const qc::Circuit& circuit, const backend::CouplingMap&
 
   Layout layout = make_layout(np, np, [&] {
     std::vector<std::size_t> v2p(np);
-    std::vector<bool> used(np, false);
-    for (std::size_t v = 0; v < nv; ++v) {
-      v2p[v] = fixed_layout[v];
-      used[fixed_layout[v]] = true;
-    }
+    std::vector<bool> used = claim_fixed(fixed_layout, nv, np, "greedy_route");
+    std::copy_n(fixed_layout.begin(), nv, v2p.begin());
     std::size_t next_free = 0;
     for (std::size_t v = nv; v < np; ++v) {
-      while (used[next_free]) ++next_free;
+      while (next_free < np && used[next_free]) ++next_free;
+      HGP_REQUIRE(next_free < np, "greedy_route: fixed layout collision");
       v2p[v] = next_free;
       used[next_free] = true;
     }

@@ -1,9 +1,9 @@
 // Loopback coverage of the hgp::net wire front end: the HGPN framing, the
 // Hello/token handshake, submit/poll/cancel/await/watch over TCP, the
 // bit-identical contract against in-process JobService::submit, session
-// survival under malformed frames and dead peers, the Prometheus endpoints,
-// and the adaptive worker pool. Every suite here is named Net* so the
-// sanitizer matrix can point TSan at the acceptor/session paths directly.
+// survival under malformed frames and dead peers, and the Prometheus
+// endpoints. Every suite here is named Net* so the sanitizer matrix can point
+// TSan at the acceptor/session paths directly.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -195,6 +195,47 @@ TEST(NetLoopback, UnknownBackendNameIsRejectedNotCrashed) {
   EXPECT_EQ(submitted.state, serve::JobState::Rejected);
   EXPECT_EQ(submitted.error.code, serve::JobErrorCode::NullBackend);
   EXPECT_NE(submitted.error.message.find("ibmq_atlantis"), std::string::npos);
+}
+
+TEST(NetLoopback, OutOfRangeLayoutIsRejectedNotCrashed) {
+  net::Server server(loopback_options());
+  net::Client client("127.0.0.1", server.port());
+  serve::JobRequest bad = wire_request("net/bad-layout");
+  bad.run.config.model.initial_layout = {0, 1, 4, 7, 10, 999};
+  const auto submitted = client.submit(bad);
+  EXPECT_FALSE(submitted.accepted());
+  EXPECT_EQ(submitted.state, serve::JobState::Rejected);
+  EXPECT_EQ(submitted.error.code, serve::JobErrorCode::BadModel);
+  // The server is still healthy and runs the next good job.
+  const auto good = client.submit(wire_request("net/after-bad-layout"));
+  ASSERT_TRUE(good.accepted());
+  const auto outcome = client.await(good.id);
+  ASSERT_TRUE(outcome.has_value());
+  EXPECT_EQ(outcome->state, serve::JobState::Completed);
+}
+
+TEST(NetLoopback, SubmitOverTheQueueLimitIsRejectedAsQueueFull) {
+  net::Server::Options options = loopback_options(1);
+  options.service.max_queued_jobs = 1;
+  net::Server server(options);
+  // Park the only worker until the test releases it, so the queue state
+  // below does not depend on timing.
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  server.service().service().post({}, [released] { released.wait(); });
+  net::Client client("127.0.0.1", server.port());
+
+  const auto queued = client.submit(wire_request("net/fills-the-queue"));
+  const auto over = client.submit(wire_request("net/over-the-limit"));
+  release.set_value();
+  EXPECT_TRUE(queued.accepted());
+  EXPECT_FALSE(over.accepted());
+  EXPECT_EQ(over.state, serve::JobState::Rejected);
+  EXPECT_EQ(over.error.code, serve::JobErrorCode::QueueFull);
+  EXPECT_FALSE(over.error.message.empty());
+  const auto outcome = client.await(queued.id);
+  ASSERT_TRUE(outcome.has_value());
+  EXPECT_EQ(outcome->state, serve::JobState::Completed);
 }
 
 TEST(NetLoopback, RunAsyncResolvesWithOutcome) {
@@ -485,94 +526,4 @@ TEST(NetScrape, BinaryScrapeCarriesNetSeries) {
   EXPECT_NE(text.find("hgp_net_connections"), std::string::npos);
   EXPECT_NE(text.find("hgp_net_frames_rx"), std::string::npos);
   EXPECT_NE(text.find("hgp_service_jobs_queued"), std::string::npos);
-}
-
-// ---------------------------------------------------------------------------
-// Adaptive worker pool
-
-TEST(NetAdaptivePool, GrowsUnderBurstAndShrinksWhenIdle) {
-  serve::EvalService::Options options;
-  options.num_workers = 1;
-  options.cache_capacity = 64;
-  options.min_workers = 1;
-  options.max_workers = 4;
-  options.adapt_interval = std::chrono::milliseconds(5);
-  serve::EvalService svc(options);
-  EXPECT_EQ(svc.num_workers(), 1u);
-
-  // A burst the single worker cannot drain within a tick: the manager must
-  // grow toward max_workers.
-  std::vector<std::promise<int>> done(16);
-  std::vector<std::future<int>> futures;
-  for (std::promise<int>& d : done) futures.push_back(d.get_future());
-  for (std::promise<int>& d : done)
-    svc.post({}, [&d] {
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
-      d.set_value(1);
-    });
-
-  std::size_t peak = 0;
-  const auto grow_deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (std::chrono::steady_clock::now() < grow_deadline) {
-    peak = std::max(peak, svc.num_workers());
-    if (peak >= 4) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_EQ(peak, 4u);
-  EXPECT_GT(svc.pool_grow_events(), 0u);
-
-  int total = 0;
-  for (auto& f : futures) total += f.get();
-  EXPECT_EQ(total, 16);
-
-  // Idle queues: the pool must breathe back down to min_workers.
-  const auto shrink_deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (svc.num_workers() > 1 && std::chrono::steady_clock::now() < shrink_deadline)
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  EXPECT_EQ(svc.num_workers(), 1u);
-  EXPECT_GT(svc.pool_shrink_events(), 0u);
-}
-
-TEST(NetAdaptivePool, FixedPoolNeverResizes) {
-  serve::EvalService::Options options;
-  options.num_workers = 2;
-  options.cache_capacity = 64;
-  // max_workers defaults to 0: fixed pool.
-  serve::EvalService svc(options);
-  std::vector<std::promise<int>> done(8);
-  std::vector<std::future<int>> futures;
-  for (std::promise<int>& d : done) futures.push_back(d.get_future());
-  for (std::promise<int>& d : done)
-    svc.post({}, [&d] {
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-      d.set_value(1);
-    });
-  for (auto& f : futures) (void)f.get();
-  EXPECT_EQ(svc.num_workers(), 2u);
-  EXPECT_EQ(svc.pool_grow_events(), 0u);
-  EXPECT_EQ(svc.pool_shrink_events(), 0u);
-}
-
-TEST(NetAdaptivePool, BurstOverTheWireGrowsTheServicePool) {
-  net::Server::Options options = loopback_options(1);
-  options.service.min_workers = 1;
-  options.service.max_workers = 3;
-  options.service.adapt_interval = std::chrono::milliseconds(5);
-  net::Server server(options);
-  net::Client client("127.0.0.1", server.port());
-
-  std::vector<serve::JobId> ids;
-  for (int i = 0; i < 6; ++i) {
-    const auto submitted = client.submit(request12q("net/burst"));
-    ASSERT_TRUE(submitted.accepted());
-    ids.push_back(submitted.id);
-  }
-  std::size_t peak = 1;
-  for (const serve::JobId id : ids) {
-    const auto outcome = client.await(id);
-    ASSERT_TRUE(outcome && outcome->state == serve::JobState::Completed);
-    peak = std::max(peak, server.service().service().num_workers());
-  }
-  EXPECT_GT(peak, 1u);
-  EXPECT_GT(server.service().service().pool_grow_events(), 0u);
 }

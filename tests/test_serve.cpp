@@ -5,7 +5,9 @@
 // grid matches sequential execution exactly.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <future>
+#include <thread>
 #include <vector>
 
 #include "backend/presets.hpp"
@@ -270,6 +272,22 @@ TEST(EvalService, BatchErrorsPropagateToSubmitter) {
   std::vector<std::function<void()>> tasks(3, [] {});
   tasks[1] = [] { throw Error("candidate failed"); };
   EXPECT_THROW(svc.run(tasks), Error);
+}
+
+TEST(EvalService, FixedPoolRunsEveryPostedTask) {
+  serve::EvalService svc(serve::EvalService::Options{2, 64});
+  std::vector<std::promise<int>> done(8);
+  std::vector<std::future<int>> futures;
+  for (std::promise<int>& d : done) futures.push_back(d.get_future());
+  for (std::promise<int>& d : done)
+    svc.post({}, [&d] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      d.set_value(1);
+    });
+  int total = 0;
+  for (auto& f : futures) total += f.get();
+  EXPECT_EQ(total, 8);
+  EXPECT_EQ(svc.num_workers(), 2u);
 }
 
 TEST(Serve, RunQaoaBitIdenticalForAnyWorkerCount) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "backend/presets.hpp"
+#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "linalg/vec.hpp"
 #include "sim/statevector.hpp"
@@ -240,6 +241,25 @@ TEST(Scheduling, DdInsertionFillsIdleWindows) {
   EXPECT_GT(with_dd.count(GateKind::X), 0u);
   // DD comes in identity pairs.
   EXPECT_EQ(with_dd.count(GateKind::X) % 2, 0u);
+}
+
+TEST(Transpiler, BadFixedLayoutThrowsInBothRoutingModes) {
+  // Out-of-range and repeated entries would index the routers' per-qubit
+  // tables out of bounds or alias two virtual qubits onto one physical one.
+  const auto dev = backend::make_toronto();
+  Circuit c(3);
+  c.h(0).cx(0, 1).cx(1, 2);
+  const std::vector<std::vector<std::size_t>> bad = {{0, 1, 999}, {0, 1, 1}, {27, 1, 4}};
+  for (const bool sabre : {false, true}) {
+    transpile::TranspileOptions opt;
+    opt.sabre_routing = sabre;
+    for (const std::vector<std::size_t>& layout : bad) {
+      opt.initial_layout = layout;
+      EXPECT_THROW(transpile::transpile(c, dev, opt), Error) << "sabre=" << sabre;
+    }
+    opt.initial_layout = {0, 1, 4};
+    EXPECT_NO_THROW(transpile::transpile(c, dev, opt)) << "sabre=" << sabre;
+  }
 }
 
 TEST(Transpiler, EndToEndNativeBasis) {
