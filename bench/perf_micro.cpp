@@ -403,7 +403,7 @@ static void BM_StatevectorSample(benchmark::State& state) {
   sim::Statevector sv(static_cast<std::size_t>(state.range(0)));
   qc::Circuit c(sv.num_qubits());
   for (std::size_t q = 0; q < sv.num_qubits(); ++q) c.h(q);
-  sv.run(c);
+  sim::apply_circuit(sv, c);
   Rng rng(1);
   for (auto _ : state) benchmark::DoNotOptimize(sv.sample(1024, rng));
 }

@@ -149,93 +149,7 @@ bool has_frequency_instruction(const pulse::Schedule& sched) {
   return false;
 }
 
-// ---- trajectory-specialized channel kernels --------------------------------
-//
-// The per-shot hot path keeps the statevector *unnormalized* and carries its
-// squared norm in `weight`: every branch probability is measured against
-// weight instead of renormalizing the vector after each Kraus branch. This
-// turns the generic 3-full-pass thermal relaxation (prob_one + damp +
-// rescale) into at most one half-pass over the |1>-subspace per call while
-// sampling the exact same quantum-jump unraveling as noise::apply_* (the
-// reference implementation the parity tests compare against).
-//
-// The batch walker (BatchWalker) samples the same branches from per-shot
-// streams in the same per-shot draw order; both sides share
-// noise::relaxation_constants / noise::sample_depolarizing so the branch
-// probabilities agree to the bit.
-
-using sim::detail::for_each_one;
-
-void traj_thermal_relaxation(sim::Statevector& sv, double& weight, std::size_t q,
-                             const noise::RelaxationConstants& rc, Rng& rng) {
-  la::CVec& amp = sv.data();
-  const std::uint64_t size = amp.size();
-  const std::uint64_t bit = std::uint64_t{1} << q;
-
-  if (rc.gamma > 0.0) {
-    // Jump iff u < gamma * m1 with m1 the unnormalized |1> mass — the exact
-    // branch probability gamma * (m1 / weight). Since m1 <= weight, a draw
-    // u >= gamma * weight settles "no jump" without measuring m1 at all.
-    const double u = rng.uniform() * weight;
-    bool jumped = false;
-    if (u < rc.gamma * weight) {
-      double m1 = 0.0;
-      for_each_one(size, bit, [&](std::uint64_t i) { m1 += std::norm(amp[i]); });
-      if (u < rc.gamma * m1) {
-        // K1 = sqrt(gamma)|0><1|: project onto |1> and reset to |0>, fused
-        // into one move over the paired indices.
-        for_each_one(size, bit, [&](std::uint64_t i) {
-          amp[i ^ bit] = amp[i];
-          amp[i] = la::cxd{0.0, 0.0};
-        });
-        weight = m1;
-        jumped = true;
-      }
-    }
-    if (!jumped) {
-      // K0 = diag(1, sqrt(1-gamma)): damp the |1> amplitudes, measuring
-      // their pre-damp mass on the fly if the shortcut skipped it.
-      double m1_old = 0.0;
-      for_each_one(size, bit, [&](std::uint64_t i) {
-        m1_old += std::norm(amp[i]);
-        amp[i] *= rc.damp;
-      });
-      weight -= rc.gamma * m1_old;
-    }
-  }
-
-  // Pure dephasing: a state-independent phase flip — half-pass only when the
-  // (rare) flip fires.
-  if (rc.dephase && rng.bernoulli(rc.p_z))
-    for_each_one(size, bit, [&](std::uint64_t i) { amp[i] = -amp[i]; });
-}
-
-/// diag(d0, d1) up to global phase (irrelevant within one trajectory):
-/// multiply the |1> amplitudes by d1/d0 — a half-pass instead of a full
-/// diagonal apply. Covers RZ drift and every virtual block (all diagonal).
-void traj_phase(sim::Statevector& sv, std::size_t q, la::cxd ratio) {
-  if (ratio == la::cxd{1.0, 0.0}) return;
-  const std::uint64_t bit = std::uint64_t{1} << q;
-  for_each_one(sv.data().size(), bit, [&](std::uint64_t i) { sv.data()[i] *= ratio; });
-}
-
-void traj_rz(sim::Statevector& sv, std::size_t q, double angle) {
-  traj_phase(sv, q, std::polar(1.0, angle));
-}
-
 using sim::detail::is_diagonal2;
-
-/// Single-outcome measurement of the unnormalized state.
-std::uint64_t traj_sample_one(const sim::Statevector& sv, double weight, Rng& rng) {
-  const la::CVec& amp = sv.data();
-  const double x = rng.uniform() * weight;
-  double acc = 0.0;
-  for (std::uint64_t i = 0; i < amp.size(); ++i) {
-    acc += std::norm(amp[i]);
-    if (x < acc) return i;
-  }
-  return amp.size() - 1;
-}
 
 /// The canonical noise-timeline walk of every executor engine: idle
 /// relaxation + frame drift before each block, the foldable virtual-diagonal
@@ -1096,7 +1010,7 @@ double Executor::evolve_one_shot(const CompiledProgram& cp, sim::Statevector& sv
     const noise::QubitNoise& qn = nm.qubits[cp.touched[lq]];
     const noise::RelaxationConstants rc =
         noise::relaxation_constants(qn.t1_us, qn.t2_us, duration_dt * pulse::kDtNs);
-    traj_thermal_relaxation(sv, weight, lq, rc, rng);
+    noise::traj_thermal_relaxation(sv, weight, lq, rc, rng);
   };
   // Coherent frame drift while idling: the qubit precesses at its true
   // (drifted) frequency but the frame stays at the calibrated one, so a
@@ -1108,17 +1022,19 @@ double Executor::evolve_one_shot(const CompiledProgram& cp, sim::Statevector& sv
     const double drift = nm.qubits[cp.touched[lq]].freq_drift_ghz;
     if (drift == 0.0) return;
     const double angle = 2.0 * la::kPi * drift * duration_dt * pulse::kDtNs;
-    traj_rz(sv, lq, angle);
+    noise::traj_rz(sv, lq, angle);
   };
 
   walk_noise_timeline(
       cp, dep1, dep2, dev_.readout_duration_dt(), relax, idle_drift,
-      [&](std::size_t lq, la::cxd ratio, const la::CMat&) { traj_phase(sv, lq, ratio); },
+      [&](std::size_t lq, la::cxd ratio, const la::CMat&) {
+        noise::traj_phase(sv, lq, ratio);
+      },
       [&](const la::CMat& u, const std::vector<std::size_t>& locals) {
         sv.apply_matrix(u, locals);
       },
       [&](const std::size_t* qubits, std::size_t n, double p) {
-        noise::apply_depolarizing(sv, {qubits, qubits + n}, p, rng);
+        noise::traj_depolarizing(sv, {qubits, qubits + n}, p, rng);
       });
   return weight;
 }
@@ -1158,7 +1074,7 @@ sim::Counts Executor::run_trajectories(const CompiledProgram& cp, std::size_t sh
         if (s != 0) sv.reset();
         Rng shot_rng = Rng::child(base, first + s);
         const double weight = evolve_one_shot(cp, sv, shot_rng);
-        std::uint64_t bits = traj_sample_one(sv, weight, shot_rng);
+        std::uint64_t bits = noise::traj_sample_one(sv, weight, shot_rng);
         if (options_.readout_error) bits = apply_readout_flips(bits, cp, nm, shot_rng);
         ++out[map_bits(bits, cp)];
       }
@@ -1236,7 +1152,10 @@ std::vector<double> Executor::density_distribution(const CompiledProgram& cp) co
   auto relax = [&](std::size_t lq, int duration_dt) {
     if (duration_dt <= 0) return;
     const noise::QubitNoise& qn = nm.qubits[cp.touched[lq]];
-    dm.apply_thermal_relaxation(lq, qn.t1_us, qn.t2_us, duration_dt * pulse::kDtNs);
+    const noise::RelaxationConstants rc =
+        noise::relaxation_constants(qn.t1_us, qn.t2_us, duration_dt * pulse::kDtNs);
+    dm.apply_amplitude_damping(lq, rc.gamma);
+    if (rc.dephase) dm.apply_phase_damping(lq, rc.p_z);
   };
   auto idle_drift = [&](std::size_t lq, int duration_dt) {
     if (duration_dt <= 0 || !options_.coherent_noise) return;

@@ -4,6 +4,7 @@
 
 #include "common/error.hpp"
 #include "linalg/pauli.hpp"
+#include "sim/kernel_structure.hpp"
 
 namespace hgp::noise {
 
@@ -13,38 +14,6 @@ int sample_depolarizing(std::size_t num_qubits, double p, Rng& rng) {
   // Uniform non-identity Pauli on the qubit set.
   const int options = (1 << (2 * static_cast<int>(num_qubits))) - 1;
   return rng.uniform_int(1, options);
-}
-
-void apply_depolarizing(sim::QuantumState& state, const std::vector<std::size_t>& qubits,
-                        double p, Rng& rng) {
-  const int pick = sample_depolarizing(qubits.size(), p, rng);
-  if (pick == 0) return;
-  for (std::size_t i = 0; i < qubits.size(); ++i) {
-    const int pauli = (pick >> (2 * i)) & 3;
-    if (pauli == 0) continue;
-    state.apply_matrix(la::pauli_matrix(static_cast<la::Pauli>(pauli)), {qubits[i]});
-  }
-}
-
-void apply_amplitude_damping(sim::QuantumState& state, std::size_t q, double gamma, Rng& rng) {
-  HGP_REQUIRE(gamma >= 0.0 && gamma <= 1.0, "apply_amplitude_damping: bad gamma");
-  if (gamma == 0.0) return;
-  const double p1 = state.prob_one(q);
-  const double p_jump = gamma * p1;
-  if (rng.bernoulli(p_jump)) {
-    // K1 = sqrt(gamma)|0><1|: project onto |1>, then reset to |0>.
-    state.collapse(q, true);
-    state.apply_matrix(la::pauli_matrix(la::Pauli::X), {q});
-    return;
-  }
-  // K0 = diag(1, sqrt(1-gamma)), renormalized.
-  const la::CMat k0{{1, 0}, {0, std::sqrt(1.0 - gamma)}};
-  state.apply_kraus_branch(k0, {q});
-}
-
-void apply_phase_flip(sim::QuantumState& state, std::size_t q, double p, Rng& rng) {
-  HGP_REQUIRE(p >= 0.0 && p <= 1.0, "apply_phase_flip: bad probability");
-  if (rng.bernoulli(p)) state.apply_matrix(la::pauli_matrix(la::Pauli::Z), {q});
 }
 
 RelaxationConstants relaxation_constants(double t1_us, double t2_us, double duration_ns) {
@@ -64,12 +33,82 @@ RelaxationConstants relaxation_constants(double t1_us, double t2_us, double dura
   return rc;
 }
 
-void apply_thermal_relaxation(sim::QuantumState& state, std::size_t q, double t1_us,
-                              double t2_us, double duration_ns, Rng& rng) {
-  if (duration_ns <= 0.0) return;
-  const RelaxationConstants rc = relaxation_constants(t1_us, t2_us, duration_ns);
-  apply_amplitude_damping(state, q, rc.gamma, rng);
-  if (rc.dephase) apply_phase_flip(state, q, rc.p_z, rng);
+using sim::detail::for_each_one;
+
+void traj_depolarizing(sim::Statevector& sv, const std::vector<std::size_t>& qubits,
+                       double p, Rng& rng) {
+  const int pick = sample_depolarizing(qubits.size(), p, rng);
+  if (pick == 0) return;
+  for (std::size_t i = 0; i < qubits.size(); ++i) {
+    const int pauli = (pick >> (2 * i)) & 3;
+    if (pauli == 0) continue;
+    sv.apply_matrix(la::pauli_matrix(static_cast<la::Pauli>(pauli)), {qubits[i]});
+  }
+}
+
+void traj_thermal_relaxation(sim::Statevector& sv, double& weight, std::size_t q,
+                             const RelaxationConstants& rc, Rng& rng) {
+  la::CVec& amp = sv.data();
+  const std::uint64_t size = amp.size();
+  const std::uint64_t bit = std::uint64_t{1} << q;
+
+  if (rc.gamma > 0.0) {
+    // Jump iff u < gamma * m1 with m1 the unnormalized |1> mass — the exact
+    // branch probability gamma * (m1 / weight). Since m1 <= weight, a draw
+    // u >= gamma * weight settles "no jump" without measuring m1 at all.
+    const double u = rng.uniform() * weight;
+    bool jumped = false;
+    if (u < rc.gamma * weight) {
+      double m1 = 0.0;
+      for_each_one(size, bit, [&](std::uint64_t i) { m1 += std::norm(amp[i]); });
+      if (u < rc.gamma * m1) {
+        // K1 = sqrt(gamma)|0><1|: project onto |1> and reset to |0>, fused
+        // into one move over the paired indices.
+        for_each_one(size, bit, [&](std::uint64_t i) {
+          amp[i ^ bit] = amp[i];
+          amp[i] = la::cxd{0.0, 0.0};
+        });
+        weight = m1;
+        jumped = true;
+      }
+    }
+    if (!jumped) {
+      // K0 = diag(1, sqrt(1-gamma)): damp the |1> amplitudes, measuring
+      // their pre-damp mass on the fly if the shortcut skipped it.
+      double m1_old = 0.0;
+      for_each_one(size, bit, [&](std::uint64_t i) {
+        m1_old += std::norm(amp[i]);
+        amp[i] *= rc.damp;
+      });
+      weight -= rc.gamma * m1_old;
+    }
+  }
+
+  // Pure dephasing: a state-independent phase flip — half-pass only when the
+  // (rare) flip fires.
+  if (rc.dephase && rng.bernoulli(rc.p_z))
+    for_each_one(size, bit, [&](std::uint64_t i) { amp[i] = -amp[i]; });
+}
+
+void traj_phase(sim::Statevector& sv, std::size_t q, la::cxd ratio) {
+  if (ratio == la::cxd{1.0, 0.0}) return;
+  const std::uint64_t bit = std::uint64_t{1} << q;
+  for_each_one(sv.data().size(), bit, [&](std::uint64_t i) { sv.data()[i] *= ratio; });
+}
+
+void traj_rz(sim::Statevector& sv, std::size_t q, double angle) {
+  traj_phase(sv, q, std::polar(1.0, angle));
+}
+
+std::uint64_t traj_sample_one(const sim::Statevector& sv, double weight, Rng& rng) {
+  const la::CVec& amp = sv.data();
+  const double x = rng.uniform() * weight;
+  double acc = 0.0;
+  for (std::uint64_t i = 0; i < amp.size(); ++i) {
+    acc += std::norm(amp[i]);
+    if (x < acc) return i;
+  }
+  return amp.size() - 1;
 }
 
 std::uint64_t apply_readout(std::uint64_t bits, const std::vector<ReadoutError>& errors,

@@ -17,15 +17,6 @@ DensityMatrix::DensityMatrix(std::size_t num_qubits)
   rho_(0, 0) = 1.0;
 }
 
-void DensityMatrix::reset() {
-  rho_ = CMat(rho_.rows(), rho_.cols());
-  rho_(0, 0) = 1.0;
-}
-
-std::unique_ptr<QuantumState> DensityMatrix::clone() const {
-  return std::make_unique<DensityMatrix>(*this);
-}
-
 DensityMatrix DensityMatrix::from_amplitudes(const la::CVec& amplitudes) {
   std::size_t n = 0;
   while ((std::size_t{1} << n) < amplitudes.size()) ++n;
@@ -135,17 +126,6 @@ void DensityMatrix::apply_phase_damping(std::size_t q, double p_z) {
   apply_kraus({ki, kz}, {q});
 }
 
-void DensityMatrix::apply_thermal_relaxation(std::size_t q, double t1_us, double t2_us,
-                                             double duration_ns) {
-  if (duration_ns <= 0.0) return;
-  const double t_us = duration_ns * 1e-3;
-  apply_amplitude_damping(q, 1.0 - std::exp(-t_us / t1_us));
-  const double t2 = std::min(t2_us, 2.0 * t1_us);
-  const double inv_tphi = 1.0 / t2 - 0.5 / t1_us;
-  if (inv_tphi > 1e-12)
-    apply_phase_damping(q, 0.5 * (1.0 - std::exp(-t_us * inv_tphi)));
-}
-
 std::vector<double> DensityMatrix::probabilities() const {
   std::vector<double> p(rho_.rows());
   for (std::size_t i = 0; i < rho_.rows(); ++i) p[i] = rho_(i, i).real();
@@ -164,35 +144,6 @@ double DensityMatrix::expectation(const la::PauliSum& obs) const {
     total += term.coeff * tr.real();
   }
   return total;
-}
-
-double DensityMatrix::prob_one(std::size_t q) const {
-  HGP_REQUIRE(q < num_qubits_, "prob_one: qubit out of range");
-  const std::uint64_t bit = std::uint64_t{1} << q;
-  double p = 0.0;
-  for (std::uint64_t i = 0; i < rho_.rows(); ++i)
-    if (i & bit) p += rho_(i, i).real();
-  return p;
-}
-
-double DensityMatrix::collapse(std::size_t q, bool outcome) {
-  const double p1 = prob_one(q);
-  const double p = outcome ? p1 : 1.0 - p1;
-  HGP_REQUIRE(p > 1e-15, "collapse: outcome has (near-)zero probability");
-  const std::uint64_t bit = std::uint64_t{1} << q;
-  for (std::uint64_t r = 0; r < rho_.rows(); ++r)
-    for (std::uint64_t c = 0; c < rho_.cols(); ++c) {
-      const bool keep = (((r & bit) != 0) == outcome) && (((c & bit) != 0) == outcome);
-      rho_(r, c) = keep ? rho_(r, c) / p : cxd{0.0, 0.0};
-    }
-  return p;
-}
-
-void DensityMatrix::normalize() {
-  const double tr = trace();
-  HGP_REQUIRE(tr > 1e-300, "normalize: zero-trace state");
-  for (std::uint64_t r = 0; r < rho_.rows(); ++r)
-    for (std::uint64_t c = 0; c < rho_.cols(); ++c) rho_(r, c) /= tr;
 }
 
 double DensityMatrix::trace() const { return rho_.trace().real(); }

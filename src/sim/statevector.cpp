@@ -22,23 +22,9 @@ Statevector::Statevector(std::size_t num_qubits)
   amp_[0] = 1.0;
 }
 
-Statevector Statevector::from_amplitudes(CVec amplitudes) {
-  std::size_t n = 0;
-  while ((std::size_t{1} << n) < amplitudes.size()) ++n;
-  HGP_REQUIRE((std::size_t{1} << n) == amplitudes.size(),
-              "Statevector: amplitude count is not a power of two");
-  Statevector sv(n);
-  sv.amp_ = std::move(amplitudes);
-  return sv;
-}
-
 void Statevector::reset() {
   std::fill(amp_.begin(), amp_.end(), cxd{0.0, 0.0});
   amp_[0] = 1.0;
-}
-
-std::unique_ptr<QuantumState> Statevector::clone() const {
-  return std::make_unique<Statevector>(*this);
 }
 
 void Statevector::apply_matrix(const CMat& u, const std::vector<std::size_t>& qubits) {
@@ -191,6 +177,10 @@ std::vector<double> Statevector::probabilities() const {
   return p;
 }
 
+Counts Statevector::sample(std::size_t shots, Rng& rng) const {
+  return sample_from_probabilities(probabilities(), shots, rng);
+}
+
 void Statevector::weighted_mass(const double* values, double& num, double& den) const {
   num = 0.0;
   den = 0.0;
@@ -202,75 +192,9 @@ void Statevector::weighted_mass(const double* values, double& num, double& den) 
   }
 }
 
-std::uint64_t Statevector::sample_one(Rng& rng) const {
-  // One shot: a single accumulate-and-compare pass, no CDF materialization.
-  // The state is unit-norm (trajectory branches renormalize), so the draw is
-  // against 1 with a fall-through to the last amplitude for rounding slack.
-  const double x = rng.uniform();
-  double acc = 0.0;
-  for (std::uint64_t i = 0; i < amp_.size(); ++i) {
-    acc += std::norm(amp_[i]);
-    if (x < acc) return i;
-  }
-  return amp_.size() - 1;
-}
-
 double Statevector::expectation(const la::PauliSum& obs) const {
   HGP_REQUIRE(obs.num_qubits() == num_qubits_, "expectation: observable width mismatch");
   return obs.expectation(amp_);
-}
-
-double Statevector::prob_one(std::size_t q) const {
-  HGP_REQUIRE(q < num_qubits_, "prob_one: qubit out of range");
-  const std::uint64_t bit = std::uint64_t{1} << q;
-  double p = 0.0;
-  for (std::uint64_t i = 0; i < amp_.size(); ++i)
-    if (i & bit) p += std::norm(amp_[i]);
-  return p;
-}
-
-double Statevector::collapse(std::size_t q, bool outcome) {
-  const double p1 = prob_one(q);
-  const double p = outcome ? p1 : 1.0 - p1;
-  HGP_REQUIRE(p > 1e-15, "collapse: outcome has (near-)zero probability");
-  const std::uint64_t bit = std::uint64_t{1} << q;
-  const double scale = 1.0 / std::sqrt(p);
-  for (std::uint64_t i = 0; i < amp_.size(); ++i) {
-    const bool one = (i & bit) != 0;
-    if (one == outcome)
-      amp_[i] *= scale;
-    else
-      amp_[i] = cxd{0.0, 0.0};
-  }
-  return p;
-}
-
-void Statevector::normalize() {
-  double norm2 = 0.0;
-  for (const cxd& a : amp_) norm2 += std::norm(a);
-  HGP_REQUIRE(norm2 > 1e-300, "normalize: zero state");
-  const double scale = 1.0 / std::sqrt(norm2);
-  for (cxd& a : amp_) a *= scale;
-}
-
-void Statevector::apply_kraus_branch(const CMat& k,
-                                     const std::vector<std::size_t>& qubits) {
-  // Single-qubit diagonal Kraus branch (the amplitude-damping no-jump
-  // operator): fuse the damp and the norm accumulation into one pass.
-  if (qubits.size() == 1 && is_zero(k(0, 1)) && is_zero(k(1, 0))) {
-    const std::uint64_t bit = std::uint64_t{1} << qubits[0];
-    const cxd k0 = k(0, 0), k1 = k(1, 1);
-    double norm2 = 0.0;
-    for (std::uint64_t i = 0; i < amp_.size(); ++i) {
-      amp_[i] *= (i & bit) ? k1 : k0;
-      norm2 += std::norm(amp_[i]);
-    }
-    HGP_REQUIRE(norm2 > 1e-300, "apply_kraus_branch: branch has zero weight");
-    const double scale = 1.0 / std::sqrt(norm2);
-    for (cxd& a : amp_) a *= scale;
-    return;
-  }
-  QuantumState::apply_kraus_branch(k, qubits);
 }
 
 }  // namespace hgp::sim

@@ -16,25 +16,27 @@ namespace hgp::sim {
 /// operators (diagonal, anti-diagonal/X-like, permutation) are detected at
 /// apply time and dispatched to specialized kernels that skip the dense
 /// matrix product.
-class Statevector final : public QuantumState {
+class Statevector {
  public:
   explicit Statevector(std::size_t num_qubits);
-  static Statevector from_amplitudes(la::CVec amplitudes);
 
-  StateKind kind() const override { return StateKind::Statevector; }
-  std::size_t num_qubits() const override { return num_qubits_; }
+  std::size_t num_qubits() const { return num_qubits_; }
   const la::CVec& data() const { return amp_; }
   la::CVec& data() { return amp_; }
 
-  void reset() override;
-  std::unique_ptr<QuantumState> clone() const override;
+  /// Back to |0...0>.
+  void reset();
 
   /// Apply a dense k-qubit operator to the listed qubits (first listed qubit
-  /// = least significant sub-index bit). Optimized paths for k = 1, 2 plus
-  /// structure-specialized kernels (diagonal / permutation).
-  void apply_matrix(const la::CMat& u, const std::vector<std::size_t>& qubits) override;
+  /// = least significant sub-index bit). Optimized paths for k = 1, 2, 3
+  /// plus structure-specialized kernels (diagonal / permutation). The
+  /// operator need not be unitary (trajectory Kraus branches).
+  void apply_matrix(const la::CMat& u, const std::vector<std::size_t>& qubits);
 
-  std::vector<double> probabilities() const override;
+  /// |amplitude|² of each basis state.
+  std::vector<double> probabilities() const;
+  /// Sample `shots` measurement outcomes of all qubits from probabilities().
+  Counts sample(std::size_t shots, Rng& rng) const;
   /// Probability-weighted sum over the basis without materializing a CDF:
   /// num += values[i] * p_i and den += p_i in ascending basis order, with
   /// p_i = re^2 + im^2 — term-for-term the same accumulation as
@@ -42,16 +44,8 @@ class Statevector final : public QuantumState {
   /// bit-identical to any lane of a batched one. The state may be
   /// unnormalized (den carries the actual squared norm).
   void weighted_mass(const double* values, double& num, double& den) const;
-  std::uint64_t sample_one(Rng& rng) const override;
-  double expectation(const la::PauliSum& obs) const override;
-  double prob_one(std::size_t q) const override;
-  /// Project qubit q onto `outcome` and renormalize; returns the outcome's
-  /// pre-measurement probability. Used by trajectory noise (amplitude
-  /// damping branches).
-  double collapse(std::size_t q, bool outcome) override;
-  void normalize() override;
-  void apply_kraus_branch(const la::CMat& k,
-                          const std::vector<std::size_t>& qubits) override;
+  /// Expectation of a Pauli-sum observable.
+  double expectation(const la::PauliSum& obs) const;
 
  private:
   std::size_t num_qubits_ = 0;

@@ -103,7 +103,7 @@ TEST(Circuit, InverseCancelsToIdentity) {
   sv.apply_matrix(qc::gate_matrix(GateKind::H), {0});
   sv.apply_matrix(qc::gate_matrix(GateKind::RY, {0.9}), {2});
   const la::CVec before = sv.data();
-  sv.run(full);
+  sim::apply_circuit(sv, full);
   EXPECT_LT(la::max_abs_diff(before, sv.data()), 1e-12);
 }
 
@@ -117,8 +117,8 @@ TEST(Qasm, RoundTripPreservesSemantics) {
   EXPECT_EQ(parsed.num_qubits(), 3u);
 
   sim::Statevector a(3), b(3);
-  a.run(c);
-  b.run(parsed);
+  sim::apply_circuit(a, c);
+  sim::apply_circuit(b, parsed);
   EXPECT_LT(la::max_abs_diff(a.data(), b.data()), 1e-12);
 }
 

@@ -1,6 +1,6 @@
 // Density-matrix simulator tests, including the exactness check of the
-// trajectory noise machinery: trajectory-averaged statistics must converge
-// to the density-matrix channel.
+// executor's scalar trajectory channels: trajectory-averaged statistics must
+// converge to the density-matrix channel.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -15,13 +15,25 @@ using namespace hgp;
 using sim::DensityMatrix;
 using sim::Statevector;
 
+namespace {
+
+/// Thermal relaxation on the density matrix exactly as the executor's
+/// exact-density engine applies it: amplitude damping with the shared
+/// constants' gamma, then phase damping when the channel dephases.
+void relax(DensityMatrix& dm, std::size_t q, const noise::RelaxationConstants& rc) {
+  dm.apply_amplitude_damping(q, rc.gamma);
+  if (rc.dephase) dm.apply_phase_damping(q, rc.p_z);
+}
+
+}  // namespace
+
 TEST(Density, PureStateEvolutionMatchesStatevector) {
   qc::Circuit c(3);
   c.h(0).cx(0, 1).ry(2, 0.8).rzz(1, 2, -0.6).sx(0);
   Statevector sv(3);
-  sv.run(c);
+  sim::apply_circuit(sv, c);
   DensityMatrix dm(3);
-  dm.run(c);
+  sim::apply_circuit(dm, c);
   const auto pv = sv.probabilities();
   const auto pd = dm.probabilities();
   for (std::size_t i = 0; i < pv.size(); ++i) EXPECT_NEAR(pv[i], pd[i], 1e-12);
@@ -60,7 +72,7 @@ TEST(Density, ThermalRelaxationCoherenceDecay) {
   dm.apply_matrix(qc::gate_matrix(qc::GateKind::H), {0});
   la::PauliSum x(1);
   x.add(1.0, "X");
-  dm.apply_thermal_relaxation(0, 100.0, 80.0, 40000.0);
+  relax(dm, 0, noise::relaxation_constants(100.0, 80.0, 40000.0));
   EXPECT_NEAR(dm.expectation(x), std::exp(-40.0 / 80.0), 1e-9);
 }
 
@@ -79,8 +91,8 @@ TEST_P(TrajectoryVsDensity, DepolarizingStatisticsConverge) {
   for (int t = 0; t < trials; ++t) {
     Statevector sv(1);
     sv.apply_matrix(qc::gate_matrix(qc::GateKind::RY, {0.9}), {0});
-    noise::apply_depolarizing(sv, {0}, p, rng);
-    p1 += sv.prob_one(0);
+    noise::traj_depolarizing(sv, {0}, p, rng);
+    p1 += sv.probabilities()[1];
   }
   EXPECT_NEAR(p1 / trials, dm.probabilities()[1], 0.01) << "p=" << p;
 }
@@ -88,9 +100,10 @@ TEST_P(TrajectoryVsDensity, DepolarizingStatisticsConverge) {
 TEST_P(TrajectoryVsDensity, ThermalRelaxationStatisticsConverge) {
   const double scale = GetParam();
   const double t1 = 100.0, t2 = 110.0, dur_ns = 20000.0 * (scale + 0.1);
+  const noise::RelaxationConstants rc = noise::relaxation_constants(t1, t2, dur_ns);
   DensityMatrix dm(1);
   dm.apply_matrix(qc::gate_matrix(qc::GateKind::H), {0});
-  dm.apply_thermal_relaxation(0, t1, t2, dur_ns);
+  relax(dm, 0, rc);
 
   la::PauliSum x(1), z(1);
   x.add(1.0, "X");
@@ -102,9 +115,10 @@ TEST_P(TrajectoryVsDensity, ThermalRelaxationStatisticsConverge) {
   for (int t = 0; t < trials; ++t) {
     Statevector sv(1);
     sv.apply_matrix(qc::gate_matrix(qc::GateKind::H), {0});
-    noise::apply_thermal_relaxation(sv, 0, t1, t2, dur_ns, rng);
-    ex += sv.expectation(x);
-    ez += sv.expectation(z);
+    double weight = 1.0;
+    noise::traj_thermal_relaxation(sv, weight, 0, rc, rng);
+    ex += sv.expectation(x) / weight;
+    ez += sv.expectation(z) / weight;
   }
   EXPECT_NEAR(ex / trials, dm.expectation(x), 0.015) << "dur=" << dur_ns;
   EXPECT_NEAR(ez / trials, dm.expectation(z), 0.015) << "dur=" << dur_ns;

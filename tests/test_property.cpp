@@ -51,7 +51,7 @@ TEST_P(RandomCircuitSweep, EvolutionPreservesNorm) {
   Rng rng(100 + static_cast<std::uint64_t>(GetParam()));
   const qc::Circuit c = random_circuit(4, 40, rng);
   sim::Statevector sv(4);
-  sv.run(c);
+  sim::apply_circuit(sv, c);
   EXPECT_NEAR(la::norm(sv.data()), 1.0, 1e-10);
 }
 
@@ -60,8 +60,8 @@ TEST_P(RandomCircuitSweep, BasisTranslationRoundTrip) {
   const qc::Circuit c = random_circuit(3, 25, rng);
   const qc::Circuit native = transpile::to_native_basis(c);
   sim::Statevector a(3), b(3);
-  a.run(c);
-  b.run(native);
+  sim::apply_circuit(a, c);
+  sim::apply_circuit(b, native);
   EXPECT_LT(la::max_abs_diff_up_to_phase(a.data(), b.data()), 1e-8);
 }
 
@@ -71,8 +71,8 @@ TEST_P(RandomCircuitSweep, CancellationAfterTranslationPreservesSemantics) {
   const qc::Circuit native = transpile::to_native_basis(c);
   const qc::Circuit cancelled = transpile::cancel_gates(native);
   sim::Statevector a(3), b(3);
-  a.run(native);
-  b.run(cancelled);
+  sim::apply_circuit(a, native);
+  sim::apply_circuit(b, cancelled);
   EXPECT_LT(la::max_abs_diff_up_to_phase(a.data(), b.data()), 1e-8);
 }
 
@@ -82,8 +82,8 @@ TEST_P(RandomCircuitSweep, RoutingPreservesDistributionUnderLayout) {
   const auto coupling = backend::line(4);
   const auto routed = transpile::sabre_route(c, coupling, rng, 2);
   sim::Statevector a(4), b(4);
-  a.run(c);
-  b.run(routed.circuit);
+  sim::apply_circuit(a, c);
+  sim::apply_circuit(b, routed.circuit);
   const auto pa = a.probabilities();
   const auto pb = b.probabilities();
   for (std::uint64_t bits = 0; bits < 16; ++bits) {

@@ -24,7 +24,7 @@ TEST(Statevector, BellState) {
   Statevector sv(2);
   Circuit c(2);
   c.h(0).cx(0, 1);
-  sv.run(c);
+  sim::apply_circuit(sv, c);
   EXPECT_NEAR(std::norm(sv.data()[0]), 0.5, 1e-12);
   EXPECT_NEAR(std::norm(sv.data()[3]), 0.5, 1e-12);
   EXPECT_NEAR(std::norm(sv.data()[1]) + std::norm(sv.data()[2]), 0.0, 1e-12);
@@ -35,7 +35,7 @@ TEST(Statevector, GhzOnFiveQubits) {
   Circuit c(5);
   c.h(0);
   for (std::size_t q = 0; q + 1 < 5; ++q) c.cx(q, q + 1);
-  sv.run(c);
+  sim::apply_circuit(sv, c);
   EXPECT_NEAR(std::norm(sv.data()[0]), 0.5, 1e-12);
   EXPECT_NEAR(std::norm(sv.data()[31]), 0.5, 1e-12);
 }
@@ -45,13 +45,13 @@ TEST(Statevector, CxDirectionMatters) {
   Statevector sv(2);
   Circuit flip(2);
   flip.x(0).cx(0, 1);
-  sv.run(flip);
+  sim::apply_circuit(sv, flip);
   EXPECT_NEAR(std::norm(sv.data()[0b11]), 1.0, 1e-12);
 
   Statevector sv2(2);
   Circuit noflip(2);
   noflip.x(0).cx(1, 0);
-  sv2.run(noflip);
+  sim::apply_circuit(sv2, noflip);
   EXPECT_NEAR(std::norm(sv2.data()[0b01]), 1.0, 1e-12);
 }
 
@@ -59,8 +59,8 @@ TEST(Statevector, GenericThreeQubitPathMatchesTwoQubitFastPath) {
   Statevector a(3), b(3);
   Circuit prep(3);
   prep.h(0).ry(1, 0.7).cx(0, 2).rz(2, -0.3);
-  a.run(prep);
-  b.run(prep);
+  sim::apply_circuit(a, prep);
+  sim::apply_circuit(b, prep);
 
   // kron(cx, I) listed on {0,1,2} puts cx's control on sub-index bit 1 (= q1)
   // and target on bit 2 (= q2): identical to the 2-qubit fast path on {1,2}.
@@ -79,8 +79,8 @@ TEST(Statevector, GenericPathScatteredQubitsMatchesFactoredApplication) {
   Statevector a(6), b(6);
   Circuit prep(6);
   prep.h(0).ry(3, 0.7).cx(0, 5).rz(5, -0.3).ry(1, 0.4).cx(3, 4);
-  a.run(prep);
-  b.run(prep);
+  sim::apply_circuit(a, prep);
+  sim::apply_circuit(b, prep);
 
   const auto sx = qc::gate_matrix(GateKind::SX);
   const auto rz = qc::gate_matrix(GateKind::RZ, {0.9});
@@ -96,7 +96,7 @@ TEST(Statevector, SamplingMatchesProbabilities) {
   Statevector sv(2);
   Circuit c(2);
   c.h(0).h(1);
-  sv.run(c);
+  sim::apply_circuit(sv, c);
   Rng rng(99);
   const sim::Counts counts = sv.sample(40000, rng);
   for (const auto& [bits, n] : counts) EXPECT_NEAR(double(n) / 40000.0, 0.25, 0.02) << bits;
@@ -106,7 +106,7 @@ TEST(Statevector, SamplingDeterministicUnderSeed) {
   Statevector sv(3);
   Circuit c(3);
   c.h(0).cx(0, 1).ry(2, 1.2);
-  sv.run(c);
+  sim::apply_circuit(sv, c);
   Rng r1(5), r2(5);
   EXPECT_EQ(sv.sample(500, r1), sv.sample(500, r2));
 }
@@ -115,7 +115,7 @@ TEST(Statevector, ExpectationMatchesAnalytic) {
   Statevector sv(2);
   Circuit c(2);
   c.h(0).cx(0, 1);  // Bell
-  sv.run(c);
+  sim::apply_circuit(sv, c);
   la::PauliSum obs(2);
   obs.add(1.0, "ZZ");
   obs.add(0.5, "XX");
@@ -128,7 +128,7 @@ TEST(Statevector, RotationExpectationSweep) {
     Statevector sv(1);
     Circuit c(1);
     c.ry(0, t);
-    sv.run(c);
+    sim::apply_circuit(sv, c);
     la::PauliSum z(1), x(1);
     z.add(1.0, "Z");
     x.add(1.0, "X");
@@ -137,24 +137,12 @@ TEST(Statevector, RotationExpectationSweep) {
   }
 }
 
-TEST(Statevector, CollapseRenormalizes) {
-  Statevector sv(2);
-  Circuit c(2);
-  c.h(0).cx(0, 1);
-  sv.run(c);
-  const double p = sv.collapse(0, true);
-  EXPECT_NEAR(p, 0.5, 1e-12);
-  EXPECT_NEAR(la::norm(sv.data()), 1.0, 1e-12);
-  EXPECT_NEAR(std::norm(sv.data()[0b11]), 1.0, 1e-12);
-  EXPECT_NEAR(sv.prob_one(1), 1.0, 1e-12);
-}
-
 TEST(Statevector, ProbOne) {
   Statevector sv(1);
   Circuit c(1);
   c.ry(0, 1.0);
-  sv.run(c);
-  EXPECT_NEAR(sv.prob_one(0), std::sin(0.5) * std::sin(0.5), 1e-12);
+  sim::apply_circuit(sv, c);
+  EXPECT_NEAR(sv.probabilities()[1], std::sin(0.5) * std::sin(0.5), 1e-12);
 }
 
 TEST(BitsToString, BigEndianPrinting) {
@@ -171,7 +159,7 @@ TEST(Statevector, RzzPhasesOnBasisStates) {
     if (basis & 1) prep.x(0);
     if (basis & 2) prep.x(1);
     prep.rzz(0, 1, 0.8);
-    sv.run(prep);
+    sim::apply_circuit(sv, prep);
     const double zz = ((basis & 1) != 0) == ((basis & 2) != 0) ? 1.0 : -1.0;
     EXPECT_NEAR(std::arg(sv.data()[basis]), -0.4 * zz, 1e-12);
   }

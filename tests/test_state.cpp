@@ -1,6 +1,6 @@
-// The polymorphic sim::QuantumState layer: factory, backend parity between
-// the statevector and density-matrix implementations, and the density
-// matrix's sampling/collapse surface.
+// The state types side by side: noiseless parity between Statevector and
+// DensityMatrix through the shared apply_circuit helper, the shared
+// sampler, and the statevector's structured kernels against dense lifts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,9 +17,6 @@
 
 using namespace hgp;
 using sim::DensityMatrix;
-using sim::make_state;
-using sim::QuantumState;
-using sim::StateKind;
 using sim::Statevector;
 
 namespace {
@@ -32,76 +29,43 @@ qc::Circuit mixed_gate_circuit() {
 
 }  // namespace
 
-TEST(StateFactory, MakesBothKinds) {
-  const auto sv = make_state(StateKind::Statevector, 3);
-  const auto dm = make_state(StateKind::Density, 3);
-  EXPECT_EQ(sv->kind(), StateKind::Statevector);
-  EXPECT_EQ(dm->kind(), StateKind::Density);
-  EXPECT_EQ(sv->num_qubits(), 3u);
-  EXPECT_EQ(dm->num_qubits(), 3u);
-  EXPECT_NE(dynamic_cast<Statevector*>(sv.get()), nullptr);
-  EXPECT_NE(dynamic_cast<DensityMatrix*>(dm.get()), nullptr);
-}
-
-TEST(StateFactory, ParsesNames) {
-  EXPECT_EQ(sim::state_kind_from_name("statevector"), StateKind::Statevector);
-  EXPECT_EQ(sim::state_kind_from_name("density"), StateKind::Density);
-  EXPECT_THROW(sim::state_kind_from_name("tensor_network"), Error);
-  EXPECT_EQ(sim::state_kind_name(StateKind::Statevector), "statevector");
-  EXPECT_EQ(make_state("density", 2)->kind(), StateKind::Density);
-}
-
 TEST(BackendParity, NoiselessProbabilitiesAgree) {
   const qc::Circuit c = mixed_gate_circuit();
-  const auto sv = make_state(StateKind::Statevector, 4);
-  const auto dm = make_state(StateKind::Density, 4);
-  sv->run(c);
-  dm->run(c);
-  const auto pv = sv->probabilities();
-  const auto pd = dm->probabilities();
+  Statevector sv(4);
+  DensityMatrix dm(4);
+  sim::apply_circuit(sv, c);
+  sim::apply_circuit(dm, c);
+  const auto pv = sv.probabilities();
+  const auto pd = dm.probabilities();
   ASSERT_EQ(pv.size(), pd.size());
   for (std::size_t i = 0; i < pv.size(); ++i) EXPECT_NEAR(pv[i], pd[i], 1e-9) << i;
-  for (std::size_t q = 0; q < 4; ++q)
-    EXPECT_NEAR(sv->prob_one(q), dm->prob_one(q), 1e-9) << q;
 }
 
 TEST(BackendParity, NoiselessPauliExpectationsAgree) {
   const qc::Circuit c = mixed_gate_circuit();
-  const auto sv = make_state(StateKind::Statevector, 4);
-  const auto dm = make_state(StateKind::Density, 4);
-  sv->run(c);
-  dm->run(c);
+  Statevector sv(4);
+  DensityMatrix dm(4);
+  sim::apply_circuit(sv, c);
+  sim::apply_circuit(dm, c);
   la::PauliSum obs(4);
   obs.add(1.0, "ZZII");
   obs.add(0.7, "XIXI");
   obs.add(-0.4, "IYZX");
   obs.add(0.2, "ZXYZ");
-  EXPECT_NEAR(sv->expectation(obs), dm->expectation(obs), 1e-9);
+  EXPECT_NEAR(sv.expectation(obs), dm.expectation(obs), 1e-9);
 }
 
 TEST(BackendParity, SamplingAgreesUnderSharedSeed) {
   // Same probabilities + same inverse-CDF sampler + same seed = identical
-  // counts across backends.
+  // counts across state types.
   qc::Circuit c(3);
   c.h(0).cx(0, 1).ry(2, 1.1);
-  const auto sv = make_state(StateKind::Statevector, 3);
-  const auto dm = make_state(StateKind::Density, 3);
-  sv->run(c);
-  dm->run(c);
+  Statevector sv(3);
+  DensityMatrix dm(3);
+  sim::apply_circuit(sv, c);
+  sim::apply_circuit(dm, c);
   Rng r1(12), r2(12);
-  EXPECT_EQ(sv->sample(2000, r1), dm->sample(2000, r2));
-}
-
-TEST(Density, CollapseMatchesStatevector) {
-  qc::Circuit c(2);
-  c.h(0).cx(0, 1);
-  DensityMatrix dm(2);
-  dm.run(c);
-  const double p = dm.collapse(0, true);
-  EXPECT_NEAR(p, 0.5, 1e-12);
-  EXPECT_NEAR(dm.trace(), 1.0, 1e-12);
-  EXPECT_NEAR(dm.prob_one(1), 1.0, 1e-12);
-  EXPECT_NEAR(dm.purity(), 1.0, 1e-12);
+  EXPECT_EQ(sv.sample(2000, r1), sim::sample_from_probabilities(dm.probabilities(), 2000, r2));
 }
 
 TEST(Density, SampleMatchesProbabilities) {
@@ -110,17 +74,9 @@ TEST(Density, SampleMatchesProbabilities) {
   dm.apply_matrix(qc::gate_matrix(qc::GateKind::H), {1});
   dm.apply_depolarizing({0}, 0.2);  // mixing must not break sampling
   Rng rng(77);
-  const sim::Counts counts = dm.sample(40000, rng);
+  const sim::Counts counts = sim::sample_from_probabilities(dm.probabilities(), 40000, rng);
   for (const auto& [bits, n] : counts)
     EXPECT_NEAR(static_cast<double>(n) / 40000.0, 0.25, 0.02) << bits;
-}
-
-TEST(Density, NormalizeRestoresUnitTrace) {
-  DensityMatrix dm(1);
-  dm.apply_matrix(la::CMat{{0.5, 0.0}, {0.0, 0.5}}, {0});  // non-unitary
-  EXPECT_LT(dm.trace(), 1.0);
-  dm.normalize();
-  EXPECT_NEAR(dm.trace(), 1.0, 1e-12);
 }
 
 TEST(SampleFromProbabilities, SortedPassMatchesLowerBoundReference) {
@@ -153,46 +109,6 @@ TEST(SampleFromProbabilities, SortedPassMatchesLowerBoundReference) {
   EXPECT_EQ(got_rng.next_u64(), ref_rng.next_u64());
 }
 
-TEST(QuantumState, SampleOneMatchesSampleStatistics) {
-  qc::Circuit c(3);
-  c.h(0).cx(0, 1).ry(2, 0.7);
-  Statevector sv(3);
-  sv.run(c);
-  Rng rng(5);
-  sim::Counts one_at_a_time;
-  for (int s = 0; s < 20000; ++s) ++one_at_a_time[sv.sample_one(rng)];
-  const auto p = sv.probabilities();
-  for (const auto& [bits, n] : one_at_a_time)
-    EXPECT_NEAR(static_cast<double>(n) / 20000.0, p[bits], 0.02) << bits;
-}
-
-TEST(QuantumState, KrausBranchFusedPathMatchesGeneric) {
-  // The statevector fuses the 1q diagonal Kraus branch (damp + renormalize)
-  // into one pass; it must equal the generic apply_matrix + normalize().
-  qc::Circuit c(3);
-  c.h(0).cx(0, 1).ry(2, 0.9);
-  Statevector fused(3), generic(3);
-  fused.run(c);
-  generic.run(c);
-  const la::CMat k0{{1.0, 0.0}, {0.0, std::sqrt(1.0 - 0.3)}};
-  fused.apply_kraus_branch(k0, {1});
-  generic.apply_matrix(k0, {1});
-  generic.normalize();
-  for (std::size_t i = 0; i < fused.data().size(); ++i) {
-    EXPECT_NEAR(fused.data()[i].real(), generic.data()[i].real(), 1e-12);
-    EXPECT_NEAR(fused.data()[i].imag(), generic.data()[i].imag(), 1e-12);
-  }
-}
-
-TEST(QuantumState, CloneIsIndependent) {
-  const auto sv = make_state(StateKind::Statevector, 2);
-  sv->apply_matrix(qc::gate_matrix(qc::GateKind::H), {0});
-  const auto copy = sv->clone();
-  copy->apply_matrix(qc::gate_matrix(qc::GateKind::X), {1});
-  EXPECT_NEAR(sv->prob_one(1), 0.0, 1e-12);
-  EXPECT_NEAR(copy->prob_one(1), 1.0, 1e-12);
-}
-
 TEST(Kernels, SpecializedTwoQubitPathsMatchGenericLift) {
   // kron(u, I) listed on {0,1,2} reproduces u on {1,2} through the generic
   // k=3 path — pins the diagonal (RZZ/CZ) and permutation (CX/SWAP) kernels
@@ -206,8 +122,8 @@ TEST(Kernels, SpecializedTwoQubitPathsMatchGenericLift) {
     Statevector a(3), b(3);
     qc::Circuit prep(3);
     prep.h(0).ry(1, 0.7).cx(0, 2).rz(2, -0.3).ry(2, 0.4);
-    a.run(prep);
-    b.run(prep);
+    sim::apply_circuit(a, prep);
+    sim::apply_circuit(b, prep);
     const la::CMat u = qc::gate_matrix(kind, params);
     b.apply_matrix(u, {1, 2});
     a.apply_matrix(la::kron(u, la::CMat::identity(2)), {0, 1, 2});
@@ -222,7 +138,7 @@ TEST(Kernels, RejectsDuplicateQubits) {
   Statevector sv(2);
   qc::Circuit prep(2);
   prep.sx(0).sx(1);
-  sv.run(prep);
+  sim::apply_circuit(sv, prep);
   const la::CVec before = sv.data();
   const la::CMat sx = qc::gate_matrix(qc::GateKind::SX);
   EXPECT_THROW(sv.apply_matrix(la::kron(sx, sx), {1, 1}), Error);
@@ -240,8 +156,8 @@ TEST(Kernels, DiagonalAndAntiDiagonalOneQubitPathsMatchGenericLift) {
     Statevector a(2), b(2);
     qc::Circuit prep(2);
     prep.h(0).ry(1, 1.2).cx(0, 1);
-    a.run(prep);
-    b.run(prep);
+    sim::apply_circuit(a, prep);
+    sim::apply_circuit(b, prep);
     const la::CMat u = qc::gate_matrix(kind, params);
     b.apply_matrix(u, {0});
     a.apply_matrix(la::kron(la::CMat::identity(2), u), {0, 1});

@@ -6,8 +6,11 @@
 // payload serialization.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -105,6 +108,48 @@ std::string read_file(const std::string& path) {
 void write_file(const std::string& path, const std::string& bytes) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/// One record frame of a store file: where it starts and ends, and its key.
+struct Frame {
+  std::size_t begin = 0;
+  std::size_t end = 0;
+  std::string key;
+};
+
+/// Walk an intact store file's frames (16-byte header, then records of
+/// u32 body length | u64 checksum | body, the body opening with a kind u8, a
+/// fingerprint u64 and the u32-length-prefixed key) — an independent reader
+/// for the fuzz tests' expectations.
+std::vector<Frame> frames_of(const std::string& bytes) {
+  auto u32_at = [&](std::size_t off) {
+    std::uint32_t v = 0;
+    std::memcpy(&v, bytes.data() + off, sizeof v);
+    return v;
+  };
+  std::vector<Frame> frames;
+  for (std::size_t off = 16; off < bytes.size();) {
+    Frame f;
+    f.begin = off;
+    f.end = off + 12 + u32_at(off);
+    const std::size_t key_at = off + 12 + 1 + 8;
+    f.key = bytes.substr(key_at + 4, u32_at(key_at));
+    frames.push_back(f);
+    off = f.end;
+  }
+  return frames;
+}
+
+/// A three-record store (two gate blocks of different widths, one pulse
+/// block) for the truncation and byte-flip fuzz tests.
+std::map<std::string, CompiledBlock> fuzz_store(const std::string& path) {
+  const std::map<std::string, CompiledBlock> blocks = {
+      {"a", make_block(1.0, 2)}, {"b", make_block(2.0, 4)}, {"c", make_block(3.0, 2)}};
+  BlockCache cache(64);
+  for (const auto& [key, block] : blocks)
+    cache.insert(key, block, key == "c" ? BlockKind::Pulse : BlockKind::Gate);
+  EXPECT_EQ(cache.save(path, 5u), 3u);
+  return blocks;
 }
 
 core::RunConfig tiny_config() {
@@ -368,6 +413,97 @@ TEST(BlockStore, TornTailIsTruncatedSoLaterAppendsStayReadable) {
   const BlockCache::StoreReport report = final_cache.load(path, toronto().fingerprint());
   EXPECT_EQ(report.skipped, 0u);
   EXPECT_GT(report.loaded, written);
+}
+
+TEST(BlockStore, EveryTruncationLoadsTheIntactPrefix) {
+  const std::string path = store_path("fuzz_truncate");
+  fuzz_store(path);
+  const std::string full = read_file(path);
+  const std::vector<Frame> frames = frames_of(full);
+  ASSERT_EQ(frames.size(), 3u);
+  ASSERT_EQ(frames.back().end, full.size());
+
+  for (std::size_t len = 0; len <= full.size(); ++len) {
+    SCOPED_TRACE(len);
+    write_file(path, full.substr(0, len));
+    std::size_t delivered = 0;
+    BlockStore::LoadReport report;
+    EXPECT_NO_THROW(report = BlockStore::load_file(
+                        path, 5u, [&](const std::string&, BlockKind, std::uint64_t,
+                                      CompiledBlock) { ++delivered; }));
+    EXPECT_EQ(delivered, report.loaded);
+    if (len < 16) {
+      // No complete header: a cold start.
+      EXPECT_FALSE(report.header_ok);
+      EXPECT_EQ(report.loaded + report.skipped, 0u);
+      EXPECT_EQ(report.valid_bytes, 0u);
+      continue;
+    }
+    EXPECT_TRUE(report.header_ok);
+    std::size_t intact = 0;
+    std::size_t intact_end = 16;
+    for (const Frame& f : frames)
+      if (f.end <= len) {
+        ++intact;
+        intact_end = f.end;
+      }
+    // Every fully present record loads; a cut inside the next one is one
+    // skipped (torn) record, and appenders resume after the last intact one.
+    EXPECT_EQ(report.loaded, intact);
+    EXPECT_EQ(report.skipped, len == intact_end ? 0u : 1u);
+    EXPECT_EQ(report.valid_bytes, intact_end);
+  }
+}
+
+TEST(BlockStore, EveryByteFlipLoadsOrSkipsButNeverThrows) {
+  const std::string path = store_path("fuzz_flip");
+  const std::map<std::string, CompiledBlock> blocks = fuzz_store(path);
+  const std::string full = read_file(path);
+  const std::vector<Frame> frames = frames_of(full);
+  ASSERT_EQ(frames.size(), 3u);
+
+  for (std::size_t i = 0; i < full.size(); ++i) {
+    SCOPED_TRACE(i);
+    std::string corrupt = full;
+    corrupt[i] = char(corrupt[i] ^ 0xFF);
+    write_file(path, corrupt);
+    std::vector<std::pair<std::string, CompiledBlock>> got;
+    BlockStore::LoadReport report;
+    EXPECT_NO_THROW(report = BlockStore::load_file(
+                        path, 5u, [&](const std::string& key, BlockKind, std::uint64_t,
+                                      CompiledBlock block) {
+                          got.emplace_back(key, std::move(block));
+                        }));
+    ASSERT_EQ(got.size(), report.loaded);
+    EXPECT_LE(report.valid_bytes, corrupt.size());
+    // Whatever loads passed its checksum: one of the originals, bit for bit.
+    for (const auto& [key, block] : got) {
+      ASSERT_EQ(blocks.count(key), 1u) << key;
+      expect_block_eq(block, blocks.at(key));
+    }
+    if (i < 8) {
+      // Magic or version: the whole file is foreign, a cold start.
+      EXPECT_FALSE(report.header_ok);
+      EXPECT_EQ(report.loaded, 0u);
+      continue;
+    }
+    EXPECT_TRUE(report.header_ok);
+    if (i < 16) {
+      // The header fingerprint is advisory; records carry their own.
+      EXPECT_FALSE(report.fingerprint_ok);
+      EXPECT_EQ(report.loaded, 3u);
+      continue;
+    }
+    // The flipped record never loads; every record before it does.
+    for (std::size_t r = 0; r < frames.size(); ++r) {
+      const bool hit = frames[r].begin <= i && i < frames[r].end;
+      const bool loaded = std::any_of(got.begin(), got.end(),
+                                      [&](const auto& kb) { return kb.first == frames[r].key; });
+      if (hit) EXPECT_FALSE(loaded) << frames[r].key;
+      if (frames[r].end <= i) EXPECT_TRUE(loaded) << frames[r].key;
+    }
+    EXPECT_GE(report.skipped, 1u);
+  }
 }
 
 TEST(BlockStore, GarbageFileIsResetNotFatal) {

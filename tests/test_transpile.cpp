@@ -27,10 +27,10 @@ void expect_equivalent(const Circuit& a, const Circuit& b, double tol = 1e-9) {
   Circuit prep(a.num_qubits());
   for (std::size_t q = 0; q < a.num_qubits(); ++q) prep.ry(q, 0.3 + 0.4 * double(q));
   for (std::size_t q = 0; q + 1 < a.num_qubits(); ++q) prep.cx(q, q + 1);
-  sa.run(prep);
-  sb.run(prep);
-  sa.run(a);
-  sb.run(b);
+  sim::apply_circuit(sa, prep);
+  sim::apply_circuit(sb, prep);
+  sim::apply_circuit(sa, a);
+  sim::apply_circuit(sb, b);
   EXPECT_LT(la::max_abs_diff_up_to_phase(sa.data(), sb.data()), tol);
 }
 
@@ -170,9 +170,9 @@ TEST(Sabre, PreservesSemanticsModuloLayout) {
   const auto routed = transpile::sabre_route(c, coupling, rng, 4);
 
   sim::Statevector sa(4);
-  sa.run(c);
+  sim::apply_circuit(sa, c);
   sim::Statevector sb(4);
-  sb.run(routed.circuit);
+  sim::apply_circuit(sb, routed.circuit);
 
   // Probability of virtual bitstring b equals probability of the physical
   // string with bits permuted by final_layout.
