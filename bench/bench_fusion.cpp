@@ -135,7 +135,7 @@ int main(int argc, char** argv) {
   // ---- candidate-lane expectation batch ------------------------------------
   // Programs are instantiated outside the timed region: instantiation is
   // identical input-preparation work on both paths, and the metric is the
-  // engine (delta-compile + lane evolve), which is what fusion changes.
+  // engine (template bind + lane evolve), which is what fusion changes.
   const std::vector<core::Program> batch_progs = instantiate_all();
   std::vector<double> batch_vals;
   auto batchloop = [&](core::Executor& ex) {

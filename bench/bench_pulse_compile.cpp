@@ -6,6 +6,12 @@
 // re-lowering the schedule per call). Verifies counts are bit-identical
 // cache-on vs. cache-off and emits BENCH_pulse.json.
 //
+// The template case times the lowering of 50 warm noiseless evaluations of
+// the same model at nearby parameter vectors: bound against the compiled
+// template (re-lowering only the slots whose parameters changed) vs a fresh
+// full compile of every op, with every block already in the cache, and
+// checks the two lowerings agree bit for bit.
+//
 // When HGP_BLOCK_STORE names a file, it also measures the cross-process
 // persistent-store path: a fresh cache warm-starts from the store another
 // invocation wrote (zero pulse-ODE compilations for the same calibration)
@@ -15,11 +21,15 @@
 //   bench_pulse_compile [warm_iters]   (default 5)
 //   HGP_SHOTS                          shots for the bit-identical check
 //   HGP_BLOCK_STORE                    persistent store path ("" = off)
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <memory>
+#include <random>
 #include <string>
+#include <vector>
 
 #include "backend/presets.hpp"
 #include "bench_util.hpp"
@@ -34,6 +44,29 @@ namespace {
 
 double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+}
+
+bool same_matrix_bits(const la::CMat& a, const la::CMat& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data().data(), b.data().data(), a.data().size() * sizeof(la::cxd)) == 0;
+}
+
+/// Every field an engine reads, unitaries by bit pattern.
+bool same_program(const core::CompiledProgram& a, const core::CompiledProgram& b) {
+  if (a.timeline.size() != b.timeline.size() || a.touched != b.touched ||
+      a.measure_local != b.measure_local || a.clock != b.clock || a.op_slot != b.op_slot ||
+      a.makespan_dt != b.makespan_dt)
+    return false;
+  for (std::size_t s = 0; s < a.timeline.size(); ++s) {
+    const core::Scheduled& x = a.timeline[s];
+    const core::Scheduled& y = b.timeline[s];
+    if (!same_matrix_bits(x.block.unitary, y.block.unitary) || x.local != y.local ||
+        x.idle_before_dt != y.idle_before_dt || x.block.structure_key != y.block.structure_key ||
+        x.block.duration_dt != y.block.duration_dt || x.block.drive_plays != y.block.drive_plays ||
+        x.block.cr_halves != y.block.cr_halves || x.block.virtual_only != y.block.virtual_only)
+      return false;
+  }
+  return true;
 }
 
 }  // namespace
@@ -110,6 +143,39 @@ int main(int argc, char** argv) {
     store_stats = store_ex.cache_stats();
   }
 
+  // Template binding: 50 nearby parameter vectors (every knob moved, as a
+  // simplex or SPSA step moves them), lowered once to warm the cache, then
+  // timed bound vs fully compiled.
+  constexpr int kTemplateEvals = 50;
+  core::ExecutorOptions topts;
+  topts.noise = false;
+  topts.num_threads = 1;
+  core::Executor tex(dev, topts);
+  std::mt19937 gen(7);
+  std::uniform_real_distribution<double> step(-0.05, 0.05);
+  std::vector<core::Program> tprogs;
+  for (int i = 0; i < kTemplateEvals; ++i) {
+    std::vector<double> x = model.initial_parameters();
+    for (double& v : x) v = std::clamp(v + step(gen), -1.0, 1.0);
+    tprogs.push_back(model.instantiate(x));
+  }
+  tex.bind(prog, 14);  // the template
+  for (const core::Program& p : tprogs) tex.bind(p, 14);
+  std::vector<core::BoundProgram> bound(kTemplateEvals);
+  std::vector<core::CompiledProgram> full(kTemplateEvals);
+  const auto t_bound = std::chrono::steady_clock::now();
+  for (int i = 0; i < kTemplateEvals; ++i) bound[i] = tex.bind(tprogs[i], 14);
+  const double bound_s = seconds_since(t_bound) / kTemplateEvals;
+  const auto t_full = std::chrono::steady_clock::now();
+  for (int i = 0; i < kTemplateEvals; ++i) full[i] = tex.compile_program(tprogs[i], 14);
+  const double full_s = seconds_since(t_full) / kTemplateEvals;
+  const double template_speedup = bound_s > 0.0 ? full_s / bound_s : 0.0;
+  bool template_identical = true;
+  for (int i = 0; i < kTemplateEvals; ++i)
+    template_identical = template_identical && bound[i].tmpl != nullptr &&
+                         same_program(bound[i].program, full[i]);
+  identical = identical && template_identical;
+
   // CompiledSchedule reuse at the simulator layer: lower a mixer-style
   // schedule (frame knobs around a 320dt Gaussian, as QaoaModel emits) once
   // and reuse the IR vs. re-lowering per evolve.
@@ -150,6 +216,9 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(cache_stats.gate_misses));
   std::printf("CompiledSchedule reuse: %.1f us/evolve vs %.1f us re-lowered (%.1fx)\n",
               1e6 * reuse_s, 1e6 * percall_s, ir_speedup);
+  std::printf("template bind: %.1f us/eval vs %.1f us full compile (%.1fx), "
+              "bit-identical %s\n",
+              1e6 * bound_s, 1e6 * full_s, template_speedup, template_identical ? "yes" : "NO");
   if (store_enabled) {
     std::printf("persistent store (%s): %s start, %.4f s (%.1fx vs cold), "
                 "%llu loaded, store hits %llu / misses %llu (rate %.1f%%), "
@@ -175,6 +244,10 @@ int main(int argc, char** argv) {
        << "  \"ir_evolve_reused_s\": " << reuse_s << ",\n"
        << "  \"ir_evolve_relowered_s\": " << percall_s << ",\n"
        << "  \"ir_speedup\": " << ir_speedup << ",\n"
+       << "  \"template_speedup\": " << template_speedup << ",\n"
+       << "  \"template\": {\"evals\": " << kTemplateEvals << ", \"bound_s\": " << bound_s
+       << ", \"full_s\": " << full_s
+       << ", \"bit_identical\": " << (template_identical ? "true" : "false") << "},\n"
        << "  \"bit_identical\": " << (identical ? "true" : "false") << ",\n"
        << "  \"cache\": {\"pulse_hits\": " << cache_stats.pulse_hits
        << ", \"pulse_misses\": " << cache_stats.pulse_misses

@@ -98,7 +98,7 @@ BENCHMARK(BM_KernelCxPermutation)->Arg(12)->Arg(16);
 //
 // The fusion pass's currency is the dense 3-qubit block: a run of 1q/2q
 // gates composed into one 8x8. The first pair measures the dense 3q apply
-// itself, scalar vs lane-batched per-lane (the delta-compile batch path);
+// itself, scalar vs lane-batched per-lane (the candidate-batch path);
 // the second pair measures a fused run against applying its constituent
 // sequence gate by gate — the per-shot win the pass buys.
 

@@ -4,6 +4,7 @@
 #include <array>
 #include <atomic>
 #include <cmath>
+#include <cstring>
 #include <exception>
 #include <iomanip>
 #include <map>
@@ -11,6 +12,7 @@
 #include <mutex>
 #include <sstream>
 #include <thread>
+#include <type_traits>
 
 #include "common/error.hpp"
 #include "core/fusion.hpp"
@@ -103,27 +105,26 @@ bool is_virtual_gate(qc::GateKind k) {
   return qc::gate_is_diagonal(k) && qc::gate_arity(k) == 1;
 }
 
-/// Run the post-compile fusion pass for a deterministic-unitary engine path
-/// and record its telemetry. A disabled width (0/1) still routes through
-/// fuse_program's pass-through mode so the engines walk one code path, but
-/// charges no fusion metrics.
-FusionResult fuse_for_engine(const CompiledProgram& cp, std::size_t max_qubits,
+/// Charge one evaluation's fusion pass to the executor.fusion.* series.
+void record_fusion(const FusionResult& fr) {
+  ExecMetrics& em = ExecMetrics::get();
+  em.fusion_blocks_in.inc(fr.stats.ops_in);
+  em.fusion_blocks_out.inc(fr.stats.ops_out);
+  em.fusion_runs.inc(fr.stats.merged_runs);
+  for (const FusedSlot& s : fr.slots)
+    if (s.sources.size() >= 2) em.fusion_run_len.record(s.sources.size());
+}
+
+/// Run the post-compile fusion pass for a deterministic-unitary engine path.
+/// A disabled width (0/1) still routes through fuse_program's pass-through
+/// mode so the engines walk one code path, but touches no fused cache
+/// entries.
+FusionResult fuse_for_engine(const CompiledProgram& cp, std::size_t width,
                              serve::BlockCache* cache, const std::string& key_prefix,
                              std::uint64_t fingerprint) {
   FusionOptions opt;
-  opt.max_qubits = std::min<std::size_t>(max_qubits, 3);
-  const bool enabled = opt.max_qubits >= 2;
-  FusionResult fr =
-      fuse_program(cp, opt, enabled ? cache : nullptr, key_prefix, fingerprint);
-  if (enabled) {
-    ExecMetrics& em = ExecMetrics::get();
-    em.fusion_blocks_in.inc(fr.stats.ops_in);
-    em.fusion_blocks_out.inc(fr.stats.ops_out);
-    em.fusion_runs.inc(fr.stats.merged_runs);
-    for (const FusedSlot& s : fr.slots)
-      if (s.sources.size() >= 2) em.fusion_run_len.record(s.sources.size());
-  }
-  return fr;
+  opt.max_qubits = width;
+  return fuse_program(cp, opt, width >= 2 ? cache : nullptr, key_prefix, fingerprint);
 }
 
 /// Single source of truth for the schedule-derived block bookkeeping shared
@@ -676,9 +677,9 @@ void for_each_batch(std::size_t num_batches, std::size_t num_threads, Fn&& fn) {
   if (first_error) std::rethrow_exception(first_error);
 }
 
-/// Delta-compilation equality for candidate-lane batching: two ops share a
-/// timeline structure when they agree on everything except parameter values,
-/// and share a block unitary when the parameter values agree exactly too.
+/// Binding equality: two ops share a timeline structure when they agree on
+/// everything except parameter values, and share a block unitary when the
+/// parameter values agree bit for bit too.
 bool same_op_structure(const ExecOp& a, const ExecOp& b) {
   if (a.is_pulse != b.is_pulse) return false;
   if (a.is_pulse) return a.qubits == b.qubits;
@@ -686,17 +687,105 @@ bool same_op_structure(const ExecOp& a, const ExecOp& b) {
          a.gate.params.size() == b.gate.params.size();
 }
 
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+bool same_instruction(const pulse::Play& a, const pulse::Play& b) {
+  const pulse::PulseShape& x = a.shape;
+  const pulse::PulseShape& y = b.shape;
+  return a.channel == b.channel && x.kind() == y.kind() && x.duration() == y.duration() &&
+         same_bits(x.amp(), y.amp()) && same_bits(x.sigma(), y.sigma()) &&
+         same_bits(x.width(), y.width()) && same_bits(x.beta(), y.beta()) &&
+         same_bits(x.angle(), y.angle());
+}
+bool same_instruction(const pulse::Delay& a, const pulse::Delay& b) {
+  return a.channel == b.channel && a.duration == b.duration;
+}
+template <typename Frame>
+bool same_instruction(const Frame& a, const Frame& b) {
+  if constexpr (std::is_same_v<Frame, pulse::Acquire>) {
+    return a.qubit == b.qubit && a.duration == b.duration;
+  } else if constexpr (std::is_same_v<Frame, pulse::ShiftPhase> ||
+                       std::is_same_v<Frame, pulse::SetPhase>) {
+    return a.channel == b.channel && same_bits(a.phase, b.phase);
+  } else {
+    return a.channel == b.channel && same_bits(a.freq_ghz, b.freq_ghz);
+  }
+}
+
+/// Instruction-for-instruction equality, parameters bit for bit. Equal
+/// schedules have equal fingerprints, so this settles "unchanged" without
+/// rendering the fingerprint's hexfloat text.
+bool same_schedule(const pulse::Schedule& a, const pulse::Schedule& b) {
+  const std::vector<pulse::TimedInstruction>& x = a.instructions();
+  const std::vector<pulse::TimedInstruction>& y = b.instructions();
+  if (x.size() != y.size()) return false;
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    if (x[i].t0 != y[i].t0 || x[i].inst.index() != y[i].inst.index()) return false;
+    const bool same = std::visit(
+        [&](const auto& xi) {
+          return same_instruction(xi, std::get<std::decay_t<decltype(xi)>>(y[i].inst));
+        },
+        x[i].inst);
+    if (!same) return false;
+  }
+  return true;
+}
+
 bool same_op_unitary(const ExecOp& a, const ExecOp& b) {
   if (a.is_pulse)
-    return a.schedule.duration() == b.schedule.duration() &&
-           a.schedule.fingerprint() == b.schedule.fingerprint();
+    return same_schedule(a.schedule, b.schedule) ||
+           (a.schedule.duration() == b.schedule.duration() &&
+            a.schedule.fingerprint() == b.schedule.fingerprint());
   for (std::size_t i = 0; i < a.gate.params.size(); ++i) {
     const qc::Param& pa = a.gate.params[i];
     const qc::Param& pb = b.gate.params[i];
-    if (pa.index() != pb.index() || pa.scale() != pb.scale() || pa.offset() != pb.offset())
+    if (pa.index() != pb.index() || !same_bits(pa.scale(), pb.scale()) ||
+        !same_bits(pa.offset(), pb.offset()))
       return false;
   }
   return true;
+}
+
+/// FNV-1a over a program's structure: what same_op_structure compares, the
+/// measure map, and the durations that fix the timeline (pulse schedules,
+/// explicit delays), so programs differing only in parameter values share
+/// one template.
+std::uint64_t structure_hash(const Program& program) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  auto mix = [&h](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xff;
+      h *= 0x100000001b3ull;
+    }
+  };
+  mix(program.ops.size());
+  for (const ExecOp& op : program.ops) {
+    mix(op.is_pulse);
+    const std::vector<std::size_t>& qubits = op.is_pulse ? op.qubits : op.gate.qubits;
+    mix(qubits.size());
+    for (std::size_t q : qubits) mix(q);
+    if (op.is_pulse) {
+      mix(static_cast<std::uint64_t>(op.schedule.duration()));
+      continue;
+    }
+    mix(static_cast<std::uint64_t>(op.gate.kind));
+    mix(op.gate.params.size());
+    if (op.gate.kind == qc::GateKind::Delay)
+      mix(static_cast<std::uint64_t>(op.gate.params[0].value()));
+  }
+  mix(program.measure_qubits.size());
+  for (std::size_t q : program.measure_qubits) mix(q);
+  return h;
+}
+
+/// The timing and noise-charge metadata the timeline and the noise walk
+/// read from a block; a re-lowered slot must keep its template's.
+bool same_block_metadata(const CompiledBlock& a, const CompiledBlock& b) {
+  return a.duration_dt == b.duration_dt && a.drive_plays == b.drive_plays &&
+         a.cr_halves == b.cr_halves && a.virtual_only == b.virtual_only &&
+         a.explicit_idle == b.explicit_idle;
 }
 
 }  // namespace
@@ -778,7 +867,10 @@ CMat Executor::simulate_block(const pulse::Schedule& physical_sched,
 }
 
 CompiledBlock Executor::compile_block(const ExecOp& op) {
-  if (!op.is_pulse) return compile_gate(op.gate);
+  return op.is_pulse ? compile_pulse(op, op.schedule.fingerprint()) : compile_gate(op.gate);
+}
+
+CompiledBlock Executor::compile_pulse(const ExecOp& op, std::uint64_t fingerprint) {
   // Raw pulse block (the hybrid/pulse-level models' trainable layers): the
   // structure key is the schedule's canonical content fingerprint, so a
   // parametric schedule rebound at a repeated candidate angle keys
@@ -786,8 +878,7 @@ CompiledBlock Executor::compile_block(const ExecOp& op) {
   std::ostringstream key;
   key << "pulse";
   for (std::size_t q : op.qubits) key << "," << q;
-  key << ",fp=" << std::hex << op.schedule.fingerprint() << std::dec
-      << ",dur=" << op.schedule.duration();
+  key << ",fp=" << std::hex << fingerprint << std::dec << ",dur=" << op.schedule.duration();
   return lower_schedule_block(key.str(), serve::BlockKind::Pulse, op.schedule, op.qubits,
                               nullptr, false);
 }
@@ -903,13 +994,17 @@ CompiledBlock Executor::lower_schedule_block(const std::string& structure_key,
                       block.unitary;
     }
   }
-  cache_->insert(cache_key, block, kind, dev_.fingerprint());
+  cache_->insert(cache_key, block, kind, fingerprint_);
   block.structure_key = structure_key;
   return block;
 }
 
-CompiledProgram Executor::compile_program(const Program& program,
-                                                    std::size_t max_qubits) {
+CompiledProgram Executor::compile_program(const Program& program, std::size_t max_qubits) {
+  refresh_key_prefix();
+  return lower_program(program, max_qubits);
+}
+
+CompiledProgram Executor::lower_program(const Program& program, std::size_t max_qubits) {
   CompiledProgram cp;
 
   // Physical -> local compression.
@@ -977,6 +1072,126 @@ CompiledProgram Executor::compile_program(const Program& program,
   cp.makespan_dt =
       cp.clock.empty() ? 0 : *std::max_element(cp.clock.begin(), cp.clock.end());
   return cp;
+}
+
+std::size_t Executor::fusion_width() const {
+  return options_.noise ? 0 : std::min<std::size_t>(options_.fusion_max_qubits, 3);
+}
+
+std::shared_ptr<const CompiledTemplate> Executor::make_template(const Program& program,
+                                                                std::size_t max_qubits) {
+  auto t = std::make_shared<CompiledTemplate>();
+  t->program = lower_program(program, max_qubits);
+  t->ops = program.ops;
+  t->pulse_fingerprints.assign(program.ops.size(), 0);
+  for (std::size_t i = 0; i < program.ops.size(); ++i)
+    if (program.ops[i].is_pulse) t->pulse_fingerprints[i] = program.ops[i].schedule.fingerprint();
+  t->slot_ops.resize(t->program.timeline.size());
+  for (std::size_t i = 0; i < program.ops.size(); ++i)
+    if (t->program.op_slot[i] >= 0)
+      t->slot_ops[static_cast<std::size_t>(t->program.op_slot[i])].push_back(i);
+  if (!options_.noise)
+    t->fused = fuse_for_engine(t->program, fusion_width(), cache_.get(), key_prefix_,
+                               fingerprint_);
+  return t;
+}
+
+BoundProgram Executor::bind(const Program& program, std::size_t max_qubits) {
+  refresh_key_prefix();
+  return bind_program(program, max_qubits);
+}
+
+std::shared_ptr<const CompiledTemplate> Executor::relower(const Program& program,
+                                                          std::size_t max_qubits,
+                                                          std::vector<SlotBlock>& changed) {
+  changed.clear();
+  std::ostringstream key;
+  key << key_prefix_ << "template,cap=" << max_qubits << ",fuse=" << fusion_width()
+      << ",h=" << std::hex << structure_hash(program);
+  std::shared_ptr<const CompiledTemplate> t = cache_->find_template(key.str());
+  if (!t) {
+    t = make_template(program, max_qubits);
+    cache_->insert_template(key.str(), t);
+    return t;
+  }
+  // Structure-hash collision guard.
+  bool same_structure = t->ops.size() == program.ops.size() &&
+                        t->program.measure_phys == program.measure_qubits;
+  for (std::size_t i = 0; same_structure && i < program.ops.size(); ++i)
+    same_structure = same_op_structure(program.ops[i], t->ops[i]);
+  if (!same_structure) return nullptr;
+
+  for (std::size_t s = 0; s < t->slot_ops.size(); ++s) {
+    const std::vector<std::size_t>& ops = t->slot_ops[s];
+    const ExecOp& first = program.ops[ops.front()];
+    CompiledBlock block;
+    if (first.is_pulse) {
+      // Pulse blocks never fold: one op per slot.
+      const pulse::Schedule& ref = t->ops[ops.front()].schedule;
+      if (same_schedule(first.schedule, ref)) continue;
+      const std::uint64_t fp = first.schedule.fingerprint();
+      if (fp == t->pulse_fingerprints[ops.front()] &&
+          first.schedule.duration() == ref.duration())
+        continue;
+      block = compile_pulse(first, fp);
+    } else {
+      const bool differs = std::any_of(ops.begin(), ops.end(), [&](std::size_t i) {
+        return !same_op_unitary(program.ops[i], t->ops[i]);
+      });
+      if (!differs) continue;
+      // compile_program's fold order: each later virtual gate multiplies
+      // from the left and appends its key.
+      block = compile_gate(first.gate);
+      for (std::size_t k = 1; k < ops.size(); ++k) {
+        const CompiledBlock next = compile_gate(program.ops[ops[k]].gate);
+        block.unitary = next.unitary * block.unitary;
+        block.structure_key += "|" + next.structure_key;
+      }
+    }
+    if (!same_block_metadata(block, t->program.timeline[s].block)) return nullptr;
+    changed.emplace_back(s, std::move(block));
+  }
+  return t;
+}
+
+BoundProgram Executor::bind_program(const Program& program, std::size_t max_qubits) {
+  std::vector<SlotBlock> changed;
+  std::shared_ptr<const CompiledTemplate> t = relower(program, max_qubits, changed);
+  BoundProgram b;
+  if (!t) {
+    b.program = lower_program(program, max_qubits);
+    b.dirty.assign(b.program.timeline.size(), 1);
+    return b;
+  }
+  b.program = t->program;
+  b.dirty.assign(b.program.timeline.size(), 0);
+  for (SlotBlock& sb : changed) {
+    b.program.timeline[sb.first].block = std::move(sb.second);
+    b.dirty[sb.first] = 1;
+  }
+  b.tmpl = std::move(t);
+  return b;
+}
+
+FusionResult Executor::fuse_bound(const BoundProgram& bound) {
+  const std::size_t width = fusion_width();
+  FusionResult out = bound.tmpl ? bound.tmpl->fused
+                                : fuse_for_engine(bound.program, width, cache_.get(),
+                                                  key_prefix_, fingerprint_);
+  if (width >= 2) record_fusion(out);
+  if (!bound.tmpl) return out;
+  std::vector<Scheduled>& timeline = out.program.timeline;
+  for (std::size_t g = 0; g < out.slots.size(); ++g) {
+    const std::vector<std::size_t>& srcs = out.slots[g].sources;
+    if (std::none_of(srcs.begin(), srcs.end(), [&](std::size_t s) { return bound.dirty[s]; }))
+      continue;
+    if (srcs.size() == 1)
+      timeline[g] = bound.program.timeline[srcs[0]];
+    else
+      timeline[g].block = compose_run(bound.program, srcs, timeline[g].local,
+                                      fused_run_key(bound.program, srcs));
+  }
+  return out;
 }
 
 std::uint64_t Executor::map_bits(std::uint64_t bits, const CompiledProgram& cp) {
@@ -1190,11 +1405,13 @@ std::vector<double> Executor::density_distribution(const CompiledProgram& cp) co
 }
 
 void Executor::refresh_key_prefix() {
-  // Refresh the cache-key prefix each run so a recalibrated (or
-  // noise-model-mutated) backend never replays stale compiled blocks out of
-  // a shared cache.
+  // Refresh the cache-key prefix each evaluation so a recalibrated (or
+  // noise-model-mutated) backend never replays stale compiled blocks or
+  // templates out of a shared cache. The fingerprint hashes the whole
+  // backend, so it is computed here once and reused by every insert.
+  fingerprint_ = dev_.fingerprint();
   std::ostringstream prefix;
-  prefix << dev_.name() << '#' << std::hex << dev_.fingerprint() << std::dec
+  prefix << dev_.name() << '#' << std::hex << fingerprint_ << std::dec
          << (options_.noise && options_.coherent_noise ? "#coh;" : "#exact;");
   key_prefix_ = prefix.str();
 }
@@ -1209,8 +1426,9 @@ sim::Counts Executor::run(const Program& program, std::size_t shots, Rng& rng) {
   const bool noisy = options_.noise;
   const bool density = noisy && options_.engine == Engine::ExactDensity;
   obs::Span compile_span("executor.compile", &em.compile_ns);
-  const CompiledProgram cp = compile_program(program, density ? 10 : 14);
+  const BoundProgram bound = bind_program(program, density ? 10 : 14);
   compile_span.finish();
+  const CompiledProgram& cp = bound.program;
   report_ = ExecutionReport{cp.makespan_dt, dev_.readout_duration_dt(), cp.timeline.size(),
                             cp.timeline.size()};
 
@@ -1219,10 +1437,9 @@ sim::Counts Executor::run(const Program& program, std::size_t shots, Rng& rng) {
     // kernels. Noisy engines below keep the unfused timeline — fusion would
     // change the FP rounding of the amplitudes feeding every branch
     // probability, and with it the RNG consumption pattern.
-    const FusionResult fr = fuse_for_engine(cp, options_.fusion_max_qubits, cache_.get(),
-                                            key_prefix_, dev_.fingerprint());
-    report_.fused_block_count = fr.program.timeline.size();
-    return run_noiseless(fr.program, shots, rng);
+    const FusionResult fused = fuse_bound(bound);
+    report_.fused_block_count = fused.program.timeline.size();
+    return run_noiseless(fused.program, shots, rng);
   }
   if (density) return run_exact_density(cp, shots, rng);
   return run_trajectories(cp, shots, rng);
@@ -1245,8 +1462,9 @@ double Executor::run_expectation(const Program& program, std::size_t shots, Rng&
   const bool noisy = options_.noise;
   const bool density = noisy && options_.engine == Engine::ExactDensity;
   obs::Span compile_span("executor.compile", &em.compile_ns);
-  const CompiledProgram cp = compile_program(program, density ? 10 : 14);
+  const BoundProgram bound = bind_program(program, density ? 10 : 14);
   compile_span.finish();
+  const CompiledProgram& cp = bound.program;
   report_ = ExecutionReport{cp.makespan_dt, dev_.readout_duration_dt(), cp.timeline.size(),
                             cp.timeline.size()};
 
@@ -1274,12 +1492,10 @@ double Executor::run_expectation(const Program& program, std::size_t shots, Rng&
     // One deterministic evolve, one exact reduction — shots and rng are
     // untouched, and there is no sampling noise at all. Fused, like run()'s
     // noiseless branch: the evolve is a pure unitary product.
-    const FusionResult fr = fuse_for_engine(cp, options_.fusion_max_qubits, cache_.get(),
-                                            key_prefix_, dev_.fingerprint());
-    report_.fused_block_count = fr.program.timeline.size();
+    const FusionResult fused = fuse_bound(bound);
+    report_.fused_block_count = fused.program.timeline.size();
     sim::Statevector sv(cp.touched.size());
-    for (const Scheduled& s : fr.program.timeline)
-      sv.apply_matrix(s.block.unitary, s.local);
+    for (const Scheduled& s : fused.program.timeline) sv.apply_matrix(s.block.unitary, s.local);
     if (spec.kind == ObjectiveKind::Expectation) {
       std::vector<double> lvt(dim);
       for (std::uint64_t i = 0; i < dim; ++i) lvt[i] = vt[map_bits(i, cp)];
@@ -1456,7 +1672,14 @@ double Executor::run_expectation(const Program& program, std::size_t shots, Rng&
 
 std::vector<double> Executor::run_expectation_batch(const std::vector<Program>& programs,
                                                     const ObjectiveSpec& spec) {
-  HGP_REQUIRE(!programs.empty(), "Executor::run_expectation_batch: no candidates");
+  return run_expectation_batch(
+      programs.size(), [&](std::size_t l) -> const Program& { return programs[l]; }, spec);
+}
+
+std::vector<double> Executor::run_expectation_batch(
+    std::size_t count, const std::function<const Program&(std::size_t)>& candidate,
+    const ObjectiveSpec& spec) {
+  HGP_REQUIRE(count > 0, "Executor::run_expectation_batch: no candidates");
   HGP_REQUIRE(spec.kind != ObjectiveKind::Sample,
               "Executor::run_expectation_batch: Sample objectives go through run()");
   HGP_REQUIRE(static_cast<bool>(spec.value),
@@ -1469,111 +1692,107 @@ std::vector<double> Executor::run_expectation_batch(const std::vector<Program>& 
   ExecMetrics& em = ExecMetrics::get();
   obs::Span batch_span("executor.candidate_batch");
   em.expectation_batches.inc();
-  const std::size_t B = programs.size();
-  const Program& p0 = programs.front();
+  const std::size_t B = count;
+  const Program& p0 = candidate(0);
   HGP_REQUIRE(!p0.measure_qubits.empty(),
               "Executor::run_expectation_batch: nothing to measure");
 
   // Candidate-lane batching requires one shared circuit structure: the same
   // register, measurement map, and block placement — only parameter values
-  // may differ lane to lane. So candidate 0 is compiled in full once and
-  // every other lane is delta-compiled against it: per timeline slot, only
-  // ops whose parameters actually changed recompile (a full per-candidate
-  // compile_program — key building, cache lookups, block copies — was the
-  // dominant cost of small batches).
-  const CompiledProgram c0 = compile_program(p0, 14);
+  // may differ lane to lane. Every candidate binds to the compiled template
+  // of that structure, re-lowering only the slots its parameters change.
+  const BoundProgram b0 = bind_program(p0, 14);
+  const CompiledProgram& c0 = b0.program;
   const std::size_t steps = c0.timeline.size();
+  report_ = ExecutionReport{c0.makespan_dt, dev_.readout_duration_dt(), steps, steps};
 
-  // Contributing ops per slot, in program order (virtual folds put several
-  // ops into one slot).
+  // Candidate 0's fused timeline fixes the grouping every lane shares (it
+  // depends on the structure only), so each lane stays bit-identical to a
+  // scalar fused run of that candidate.
+  const FusionResult f0 = fuse_bound(b0);
+  const std::size_t fused_steps = f0.program.timeline.size();
+  report_.fused_block_count = fused_steps;
   std::vector<std::vector<std::size_t>> slot_ops(steps);
   for (std::size_t i = 0; i < p0.ops.size(); ++i)
     if (c0.op_slot[i] >= 0) slot_ops[static_cast<std::size_t>(c0.op_slot[i])].push_back(i);
 
-  // lane_us[s] empty => every lane shares candidate 0's unitary (broadcast).
-  std::vector<std::vector<la::CMat>> lane_us(steps);
-  // lane_dirty[s][l]: lane l's slot-s unitary was recompiled (differs from
-  // candidate 0's). Drives the per-lane recompose of fused slots below.
-  std::vector<std::vector<bool>> lane_dirty(steps);
+  // differs[l * fused_steps + g]: lane l's ops in fused slot g differ from
+  // candidate 0's. Lanes that differ anywhere bind to their template; each
+  // keeps only its re-lowered slots (a full compile after a fallback).
+  std::vector<std::uint8_t> differs(B * fused_steps, 0), varied(fused_steps, 0);
+  struct LaneBinding {
+    std::shared_ptr<const CompiledTemplate> tmpl;
+    std::vector<SlotBlock> changed;
+    CompiledProgram full;
+    std::vector<const la::CMat*> slot_u;
+    std::vector<std::uint8_t> dirty;
+  };
+  std::vector<LaneBinding> lanes(B);
   for (std::size_t l = 1; l < B; ++l) {
-    const Program& pl = programs[l];
+    const Program& pl = candidate(l);
     HGP_REQUIRE(pl.measure_qubits == p0.measure_qubits && pl.ops.size() == p0.ops.size(),
                 "Executor::run_expectation_batch: candidates are not structurally "
                 "identical");
     for (std::size_t i = 0; i < pl.ops.size(); ++i)
       HGP_REQUIRE(same_op_structure(pl.ops[i], p0.ops[i]),
                   "Executor::run_expectation_batch: candidate timelines diverge");
-    for (std::size_t s = 0; s < steps; ++s) {
-      bool dirty = false;
-      for (std::size_t i : slot_ops[s])
-        if (!same_op_unitary(pl.ops[i], p0.ops[i])) {
-          dirty = true;
-          break;
-        }
-      if (!dirty) continue;
-      if (lane_us[s].empty()) {
-        lane_us[s].assign(B, c0.timeline[s].block.unitary);
-        lane_dirty[s].assign(B, false);
-      }
-      lane_dirty[s][l] = true;
-      // Recompute the slot's (possibly folded) unitary in compile_program's
-      // exact multiply order, so the lane stays bit-identical to a scalar
-      // compile of this candidate.
-      la::CMat u = compile_block(pl.ops[slot_ops[s].front()]).unitary;
-      for (std::size_t i = 1; i < slot_ops[s].size(); ++i)
-        u = compile_block(pl.ops[slot_ops[s][i]]).unitary * u;
-      lane_us[s][l] = std::move(u);
+    bool any = false;
+    for (std::size_t g = 0; g < fused_steps; ++g) {
+      const std::vector<std::size_t>& srcs = f0.slots[g].sources;
+      const bool d = std::any_of(srcs.begin(), srcs.end(), [&](std::size_t s) {
+        return std::any_of(slot_ops[s].begin(), slot_ops[s].end(), [&](std::size_t i) {
+          return !same_op_unitary(pl.ops[i], p0.ops[i]);
+        });
+      });
+      differs[l * fused_steps + g] = d;
+      varied[g] |= d;
+      any |= d;
+    }
+    if (!any) continue;
+    LaneBinding& lb = lanes[l];
+    lb.tmpl = relower(pl, 14, lb.changed);
+    if (!lb.tmpl) lb.full = lower_program(pl, 14);
+    const CompiledProgram& base = lb.tmpl ? lb.tmpl->program : lb.full;
+    lb.slot_u.resize(steps);
+    for (std::size_t s = 0; s < steps; ++s) lb.slot_u[s] = &base.timeline[s].block.unitary;
+    lb.dirty.assign(steps, lb.tmpl ? 0 : 1);
+    for (const SlotBlock& sb : lb.changed) {
+      lb.slot_u[sb.first] = &sb.second.unitary;
+      lb.dirty[sb.first] = 1;
     }
   }
-  report_ = ExecutionReport{c0.makespan_dt, dev_.readout_duration_dt(), steps, steps};
 
-  // Fuse candidate 0's timeline, then route the delta-compiled lanes through
-  // the fused slots: a fused slot whose constituents are clean on every lane
-  // applies once broadcast; a slot with dirty lanes re-composes exactly those
-  // lanes' unitaries with compose_fused — the same composition fuse_program
-  // performs — so each lane stays bit-identical to a scalar fused run of
-  // that candidate.
-  const FusionResult fr = fuse_for_engine(c0, options_.fusion_max_qubits, cache_.get(),
-                                          key_prefix_, dev_.fingerprint());
-  const std::size_t fused_steps = fr.program.timeline.size();
-  report_.fused_block_count = fused_steps;
-  std::vector<std::vector<la::CMat>> fused_us(fused_steps);
+  // One lane-batched evolve for all candidates: fused slots that agree
+  // across every lane (the unparameterized majority) apply once broadcast;
+  // varied slots take the per-lane kernels, with each differing lane's
+  // unitary its template's when none of the slot's sources was re-lowered
+  // for it, else re-composed from its slots.
+  sim::BatchedStatevector bsv(c0.touched.size(), B);
+  std::vector<la::CMat> lane_us;
+  std::vector<FusePartView> parts;
   for (std::size_t g = 0; g < fused_steps; ++g) {
-    const std::vector<std::size_t>& srcs = fr.slots[g].sources;
-    if (srcs.size() == 1) {
-      fused_us[g] = std::move(lane_us[srcs[0]]);
+    const Scheduled& f = f0.program.timeline[g];
+    if (!varied[g]) {
+      bsv.apply_matrix(f.block.unitary, f.local);
       continue;
     }
-    const bool any_varied = std::any_of(srcs.begin(), srcs.end(), [&](std::size_t src) {
-      return !lane_us[src].empty();
-    });
-    if (!any_varied) continue;  // broadcast the fused unitary
-    fused_us[g].assign(B, fr.program.timeline[g].block.unitary);
-    std::vector<FusePartView> parts(srcs.size());
+    const std::vector<std::size_t>& srcs = f0.slots[g].sources;
+    lane_us.assign(B, f.block.unitary);
     for (std::size_t l = 1; l < B; ++l) {
-      const bool lane_varied = std::any_of(srcs.begin(), srcs.end(), [&](std::size_t src) {
-        return !lane_dirty[src].empty() && lane_dirty[src][l];
-      });
-      if (!lane_varied) continue;
-      for (std::size_t i = 0; i < srcs.size(); ++i) {
-        const std::size_t src = srcs[i];
-        parts[i].u = lane_us[src].empty() ? &c0.timeline[src].block.unitary
-                                          : &lane_us[src][l];
-        parts[i].local = &c0.timeline[src].local;
+      if (!differs[l * fused_steps + g]) continue;
+      const LaneBinding& lb = lanes[l];
+      if (srcs.size() == 1) {
+        lane_us[l] = *lb.slot_u[srcs[0]];
+      } else if (std::none_of(srcs.begin(), srcs.end(),
+                              [&](std::size_t s) { return lb.dirty[s]; })) {
+        lane_us[l] = lb.tmpl->fused.program.timeline[g].block.unitary;
+      } else {
+        parts.clear();
+        for (std::size_t s : srcs) parts.push_back({lb.slot_u[s], &c0.timeline[s].local});
+        lane_us[l] = compose_fused(parts.data(), parts.size(), f.local);
       }
-      fused_us[g][l] = compose_fused(parts.data(), parts.size(), fr.program.timeline[g].local);
     }
-  }
-
-  // One lane-batched evolve for all candidates: blocks whose unitaries agree
-  // across every lane (the unparameterized majority) apply once broadcast;
-  // parameterized blocks take the per-lane kernels.
-  sim::BatchedStatevector bsv(c0.touched.size(), B);
-  for (std::size_t s = 0; s < fused_steps; ++s) {
-    if (fused_us[s].empty())
-      bsv.apply_matrix(fr.program.timeline[s].block.unitary, fr.program.timeline[s].local);
-    else
-      bsv.apply_matrix_per_lane(fused_us[s], fr.program.timeline[s].local);
+    bsv.apply_matrix_per_lane(lane_us, f.local);
   }
 
   const std::size_t mdim = std::size_t{1} << c0.measure_local.size();

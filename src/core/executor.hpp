@@ -4,12 +4,15 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "backend/backend.hpp"
 #include "common/cancel.hpp"
 #include "common/rng.hpp"
 #include "core/compiled_block.hpp"
+#include "core/compiled_program.hpp"
+#include "core/fusion.hpp"
 #include "core/program.hpp"
 #include "serve/block_cache.hpp"
 #include "sim/batched_statevector.hpp"
@@ -141,30 +144,33 @@ struct ExecutionReport {
   std::size_t fused_block_count = 0;
 };
 
-/// One block placed on the ASAP timeline in local qubit coordinates.
-struct Scheduled {
-  CompiledBlock block;
-  std::vector<std::size_t> local;   // local qubit indices
-  std::vector<int> idle_before_dt;  // per local qubit of the block
+/// One program structure compiled once: compile_program's output, the source
+/// ops it was compiled from and, for noiseless executors, its fused
+/// timeline. Immutable once built; the executor's serve::BlockCache holds it
+/// (in memory only, LRU-bounded) under the backend/option key prefix plus
+/// the program's op structure, so every executor of a run or service shares
+/// it and a recalibrated backend never binds to it.
+struct CompiledTemplate {
+  std::vector<ExecOp> ops;
+  /// Schedule fingerprint of each pulse op (0 for gate ops).
+  std::vector<std::uint64_t> pulse_fingerprints;
+  CompiledProgram program;
+  /// Per timeline slot, the ops lowered into it in program order (several
+  /// when consecutive virtual gates fold).
+  std::vector<std::vector<std::size_t>> slot_ops;
+  /// The fusion pass over `program` (noiseless executors only).
+  FusionResult fused;
 };
 
-/// A program compiled down to the engine-independent representation: the
-/// block timeline over the compressed (touched-only) register plus the
-/// measurement maps. Every engine — scalar trajectory, lane-batched
-/// trajectory, exact density — walks this same structure.
-struct CompiledProgram {
-  std::vector<Scheduled> timeline;
-  std::vector<std::size_t> touched;        // sorted physical qubits
-  std::vector<std::size_t> measure_phys;   // physical qubit per measured bit
-  std::vector<std::size_t> measure_local;  // local qubit per measured bit
-  std::vector<int> clock;                  // per-local end time
-  /// Timeline slot each program op landed in (-1 for barriers/measures).
-  /// Consecutive virtual blocks fold, so several ops may map to one slot —
-  /// this is what lets candidate-lane batching delta-compile: a candidate
-  /// that differs from the reference only in some ops' parameter values
-  /// recompiles exactly those ops' slots.
-  std::vector<long> op_slot;
-  int makespan_dt = 0;
+/// A program bound to its compiled template: `program` equals
+/// compile_program's output field for field.
+struct BoundProgram {
+  CompiledProgram program;
+  /// The template bound to; null when bind fell back to a full compile.
+  std::shared_ptr<const CompiledTemplate> tmpl;
+  /// Per timeline slot: 1 when re-lowered because one of its ops differs
+  /// from the template's (every slot after a fallback).
+  std::vector<std::uint8_t> dirty;
 };
 
 /// The machine-in-loop execution engine: compiles a Program's steps into
@@ -204,8 +210,30 @@ class Executor {
   /// on a scalar statevector.
   std::vector<double> run_expectation_batch(const std::vector<Program>& programs,
                                             const ObjectiveSpec& spec);
+  /// The same batch over `count` candidates produced on demand:
+  /// candidate(l) is called once per lane, in lane order. The reference it
+  /// returns for lane 0 must stay valid for the whole call, any other only
+  /// until the next call — so a producer can instantiate every later
+  /// candidate into one reused buffer, and a batch holds two programs at a
+  /// time instead of `count`.
+  std::vector<double> run_expectation_batch(
+      std::size_t count, const std::function<const Program&(std::size_t)>& candidate,
+      const ObjectiveSpec& spec);
 
   const ExecutionReport& last_report() const { return report_; }
+
+  /// The reference lowering: compile every op of `program` into a block
+  /// (through the block cache), lay out the ASAP timeline over the touched
+  /// register (at most `max_qubits`) and fold consecutive virtual gates.
+  CompiledProgram compile_program(const Program& program, std::size_t max_qubits);
+  /// What every evaluation lowers through: look up the compiled template of
+  /// `program`'s structure (building it with compile_program on a miss),
+  /// copy it and re-lower only the slots holding an op whose parameters
+  /// differ from the template's, in compile_program's multiply order. A
+  /// re-lowered block whose timing or noise-charge metadata differs from
+  /// the template's falls back to a full compile. The result equals
+  /// compile_program(program, max_qubits) field for field.
+  BoundProgram bind(const Program& program, std::size_t max_qubits);
 
   /// The compiled-block cache this executor compiles into (private or
   /// injected) and its hit/miss/evict counters.
@@ -220,6 +248,8 @@ class Executor {
   /// pulse schedule's content fingerprint) and goes through
   /// lower_schedule_block's cached path.
   CompiledBlock compile_block(const ExecOp& op);
+  /// Pulse front-end of compile_block, given the schedule's fingerprint.
+  CompiledBlock compile_pulse(const ExecOp& op, std::uint64_t fingerprint);
   /// Gate front-end of compile_block: resolves the calibrated schedule and
   /// the structure key for a native gate, then lowers through the shared
   /// cached path.
@@ -236,7 +266,29 @@ class Executor {
   la::CMat simulate_block(const pulse::Schedule& physical_sched,
                           const std::vector<std::size_t>& qubits) const;
 
-  CompiledProgram compile_program(const Program& program, std::size_t max_qubits);
+  /// compile_program / bind without the key-prefix refresh (the callers
+  /// refresh it once per evaluation).
+  CompiledProgram lower_program(const Program& program, std::size_t max_qubits);
+  BoundProgram bind_program(const Program& program, std::size_t max_qubits);
+  /// A re-lowered timeline slot: its index and its new block.
+  using SlotBlock = std::pair<std::size_t, CompiledBlock>;
+  /// The core of bind: find (or build) the template of `program`'s
+  /// structure and re-lower, into `changed` (slot order), the slots holding
+  /// an op whose parameters differ from the template's. Null = fall back to
+  /// a full compile (a structure-hash collision, or a re-lowered block whose
+  /// timing or noise-charge metadata differs from the template's).
+  std::shared_ptr<const CompiledTemplate> relower(const Program& program,
+                                                  std::size_t max_qubits,
+                                                  std::vector<SlotBlock>& changed);
+  std::shared_ptr<const CompiledTemplate> make_template(const Program& program,
+                                                        std::size_t max_qubits);
+  /// The fusion pass over a bound program: the template's, with only the
+  /// fused slots that hold a re-lowered slot re-composed (a full pass after
+  /// a fallback).
+  FusionResult fuse_bound(const BoundProgram& bound);
+  /// Widest fused support of this executor's deterministic-unitary paths
+  /// (0 = fusion is not used: noisy executors).
+  std::size_t fusion_width() const;
   /// Compress measured bits out of a local-register basis index.
   static std::uint64_t map_bits(std::uint64_t bits, const CompiledProgram& cp);
 
@@ -252,17 +304,19 @@ class Executor {
   /// marginalized and readout-folded — shared by run_exact_density (which
   /// samples it) and the density path of run_expectation (which reduces it).
   std::vector<double> density_distribution(const CompiledProgram& cp) const;
-  /// Rebuild key_prefix_ from the backend fingerprint and compile options
-  /// (called at the top of every run so recalibration invalidates stale
-  /// cache entries).
+  /// Rebuild fingerprint_ and key_prefix_ from the backend and the compile
+  /// options (once per evaluation, so recalibration invalidates stale cache
+  /// entries and templates).
   void refresh_key_prefix();
 
   const backend::FakeBackend& dev_;
   ExecutorOptions options_;
   ExecutionReport report_;
   std::shared_ptr<serve::BlockCache> cache_;
-  /// Backend-fingerprint + compile-option prefix of every cache key;
-  /// refreshed per run() so recalibration invalidates stale entries.
+  /// Backend fingerprint and the backend-fingerprint + compile-option
+  /// prefix of every cache key; refreshed per evaluation so recalibration
+  /// invalidates stale entries.
+  std::uint64_t fingerprint_ = 0;
   std::string key_prefix_;
 };
 

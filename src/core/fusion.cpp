@@ -75,8 +75,8 @@ CMat compose_fused(const FusePartView* parts, std::size_t n,
     }
     // Narrow part: apply it to each column of the accumulator in place —
     // the left-multiply E(u)·acc without materializing the embedded matrix
-    // (the delta-compile path re-composes per dirty lane, so this runs in
-    // the batch hot loop).
+    // (every evaluation bound to a template re-composes its re-lowered
+    // slots through here).
     std::size_t pos[8];
     std::uint64_t target_mask = 0;
     for (std::size_t j = 0; j < k; ++j) {
@@ -107,6 +107,37 @@ CMat compose_fused(const FusePartView* parts, std::size_t n,
     }
   }
   return acc;
+}
+
+std::string fused_run_key(const CompiledProgram& cp, const std::vector<std::size_t>& sources) {
+  std::string key = "fuse[";
+  for (std::size_t i = 0; i < sources.size(); ++i) {
+    const std::string& part_key = cp.timeline[sources[i]].block.structure_key;
+    if (part_key.empty()) return std::string();
+    if (i) key += ';';
+    key += part_key;
+  }
+  key += ']';
+  return key;
+}
+
+CompiledBlock compose_run(const CompiledProgram& cp, const std::vector<std::size_t>& sources,
+                          const std::vector<std::size_t>& support, std::string key) {
+  std::vector<FusePartView> parts;
+  parts.reserve(sources.size());
+  for (std::size_t src : sources) {
+    const Scheduled& s = cp.timeline[src];
+    parts.push_back(FusePartView{&s.block.unitary, &s.local});
+  }
+  CompiledBlock block;
+  block.unitary = compose_fused(parts.data(), parts.size(), support);
+  block.qubits.reserve(support.size());
+  for (std::size_t lq : support) block.qubits.push_back(cp.touched[lq]);
+  block.virtual_only = std::all_of(sources.begin(), sources.end(), [&](std::size_t src) {
+    return cp.timeline[src].block.virtual_only;
+  });
+  block.structure_key = std::move(key);
+  return block;
 }
 
 FusionResult fuse_program(const CompiledProgram& cp, const FusionOptions& opt,
@@ -171,21 +202,8 @@ FusionResult fuse_program(const CompiledProgram& cp, const FusionOptions& opt,
     // the caller's backend-fingerprint prefix. Only usable when every
     // constituent was stamped; an unstamped part (shouldn't happen in the
     // executor pipeline) just composes uncached.
-    std::string fuse_key;
-    bool keyed = cache != nullptr;
-    if (keyed) {
-      fuse_key = "fuse[";
-      for (std::size_t i = 0; i < grp.sources.size(); ++i) {
-        const std::string& part_key = cp.timeline[grp.sources[i]].block.structure_key;
-        if (part_key.empty()) {
-          keyed = false;
-          break;
-        }
-        if (i) fuse_key += ';';
-        fuse_key += part_key;
-      }
-      fuse_key += ']';
-    }
+    std::string fuse_key = cache != nullptr ? fused_run_key(cp, grp.sources) : std::string();
+    const bool keyed = !fuse_key.empty();
 
     Scheduled fused;
     fused.local = support;
@@ -199,22 +217,7 @@ FusionResult fuse_program(const CompiledProgram& cp, const FusionOptions& opt,
       fused.block.structure_key = fuse_key;
     } else {
       out.stats.cache_misses += 1;
-      std::vector<FusePartView> parts;
-      parts.reserve(grp.sources.size());
-      std::vector<std::vector<std::size_t>> part_locals(grp.sources.size());
-      for (std::size_t i = 0; i < grp.sources.size(); ++i) {
-        const Scheduled& s = cp.timeline[grp.sources[i]];
-        part_locals[i] = s.local;
-        parts.push_back(FusePartView{&s.block.unitary, &part_locals[i]});
-      }
-      fused.block.unitary = compose_fused(parts.data(), parts.size(), support);
-      fused.block.qubits.reserve(support.size());
-      for (std::size_t lq : support) fused.block.qubits.push_back(cp.touched[lq]);
-      fused.block.virtual_only =
-          std::all_of(grp.sources.begin(), grp.sources.end(), [&](std::size_t src) {
-            return cp.timeline[src].block.virtual_only;
-          });
-      fused.block.structure_key = fuse_key;
+      fused.block = compose_run(cp, grp.sources, support, fuse_key);
       if (keyed)
         cache->insert(key_prefix + fuse_key, fused.block, serve::BlockKind::Fused,
                       fingerprint);
@@ -224,8 +227,8 @@ FusionResult fuse_program(const CompiledProgram& cp, const FusionOptions& opt,
   }
   out.stats.ops_out = out.program.timeline.size();
 
-  // Remap op -> slot through the fused slots (delta-compilation follows this
-  // map to find which fused slot a changed op's block landed in).
+  // Remap op -> slot through the fused slots (the fused slot each op's block
+  // landed in).
   out.program.op_slot.reserve(cp.op_slot.size());
   for (long s : cp.op_slot)
     out.program.op_slot.push_back(s < 0 ? -1 : slot_remap[static_cast<std::size_t>(s)]);

@@ -4,7 +4,7 @@
 #include <string>
 #include <vector>
 
-#include "core/executor.hpp"
+#include "core/compiled_program.hpp"
 #include "serve/block_cache.hpp"
 #include "transpile/pass_report.hpp"
 
@@ -31,9 +31,9 @@ struct FusionOptions {
 
 /// One fused timeline slot's provenance: the original timeline slots it
 /// merged, in apply order. Single-element = the block passed through
-/// untouched. This is what lets candidate-lane delta-compilation route
-/// through fused slots: a lane recompiles only the constituent blocks whose
-/// ops changed, then re-composes this slot's unitary.
+/// untouched. This is what lets a program bound to a compiled template
+/// route through the template's fused timeline: only the fused slots with a
+/// re-lowered constituent are re-composed (compose_run).
 struct FusedSlot {
   std::vector<std::size_t> sources;
 };
@@ -66,11 +66,23 @@ struct FusePartView {
 };
 
 /// Compose parts[n-1] * ... * parts[0] on `support` (timeline apply order:
-/// parts[0] acts first). Deterministic — the candidate-lane recompose path
-/// calls this with per-lane constituent unitaries and must reproduce bitwise
-/// what fusing that candidate's own compiled program would produce.
+/// parts[0] acts first). Deterministic — the bound-program recompose path
+/// calls this with re-lowered constituent unitaries and must reproduce
+/// bitwise what fusing that program's own full compile would produce.
 la::CMat compose_fused(const FusePartView* parts, std::size_t n,
                        const std::vector<std::size_t>& support);
+
+/// Structure key of a fused run of `cp`'s timeline slots `sources`:
+/// "fuse[" + the constituent keys joined by ';' + "]", or "" when a
+/// constituent carries no key.
+std::string fused_run_key(const CompiledProgram& cp, const std::vector<std::size_t>& sources);
+
+/// The fused block of a multi-slot run of `cp` (timeline slots `sources`, in
+/// apply order) on the sorted local `support`: the composed unitary, the
+/// support's physical qubits, virtual_only when every constituent is, and
+/// the structure key `key`. fuse_program builds every uncached run with it.
+CompiledBlock compose_run(const CompiledProgram& cp, const std::vector<std::size_t>& sources,
+                          const std::vector<std::size_t>& support, std::string key);
 
 /// Run the fusion pass. When `cache` is non-null, fused unitaries (from runs
 /// whose constituents all carry structure keys) are looked up / inserted

@@ -44,10 +44,9 @@ pulse::Schedule QaoaModel::mixer_pulse(std::size_t phys_q, double angle, double 
   const pulse::QubitCalibration& qcal = dev_->calibrations().qubit(phys_q);
   const int dur = config_.mixer_duration_dt;
   const double sigma = dur / 4.0;
-  const pulse::PulseShape unit = pulse::PulseShape::gaussian(dur, 1.0, sigma);
   // rotation angle = 2π · rate · amp · area; saturate at full output (this
   // is the physical floor the Step-I duration search runs into).
-  double amp = std::abs(angle) / (2.0 * la::kPi * qcal.drive_rate_ghz * unit.area_ns());
+  double amp = std::abs(angle) / (2.0 * la::kPi * qcal.drive_rate_ghz * mixer_unit_area_ns_);
   amp = std::min(amp, 1.0);
   const double envelope_angle = angle >= 0.0 ? 0.0 : la::kPi;
 
@@ -63,6 +62,11 @@ pulse::Schedule QaoaModel::mixer_pulse(std::size_t phys_q, double angle, double 
   return s;
 }
 
+void QaoaModel::refresh_mixer_area() {
+  const int dur = config_.mixer_duration_dt;
+  mixer_unit_area_ns_ = pulse::PulseShape::gaussian(dur, 1.0, dur / 4.0).area_ns();
+}
+
 QaoaModel QaoaModel::build(const graph::Graph& graph, const backend::FakeBackend& dev,
                            ModelKind kind, const ModelConfig& config) {
   QaoaModel m;
@@ -70,6 +74,7 @@ QaoaModel QaoaModel::build(const graph::Graph& graph, const backend::FakeBackend
   m.graph_ = &graph;
   m.kind_ = kind;
   m.config_ = config;
+  m.refresh_mixer_area();
 
   const std::size_t n = graph.num_vertices();
   std::vector<std::size_t> layout =
@@ -192,6 +197,7 @@ void QaoaModel::set_mixer_duration(int duration_dt) {
   HGP_REQUIRE(duration_dt >= 32 && duration_dt % 32 == 0,
               "set_mixer_duration: duration must be a positive multiple of 32 dt");
   config_.mixer_duration_dt = duration_dt;
+  refresh_mixer_area();
 }
 
 int QaoaModel::mixer_layer_duration_dt() const {

@@ -97,6 +97,12 @@ class QaoaModel {
   std::vector<std::vector<int>> freeop_param_base_;
   /// PulseLevel: params_ index of each segment's first mixer parameter.
   std::vector<std::size_t> pulse_mixer_base_;
+  /// Area (ns) of the unit-amplitude mixer Gaussian at the current mixer
+  /// duration, integrated by build()/set_mixer_duration() instead of in
+  /// every mixer_pulse().
+  double mixer_unit_area_ns_ = 0.0;
+
+  void refresh_mixer_area();
 
   pulse::Schedule mixer_pulse(std::size_t phys_q, double angle, double phase,
                               double freq_ghz) const;

@@ -110,12 +110,19 @@ RunResult run_qaoa(const graph::Instance& instance, const backend::FakeBackend& 
       for (std::size_t start = 0; start < xs.size(); start += group) {
         const std::size_t count = std::min(group, xs.size() - start);
         tasks.push_back([&, start, count] {
-          std::vector<Program> progs;
-          progs.reserve(count);
-          for (std::size_t i = 0; i < count; ++i)
-            progs.push_back(model.instantiate(xs[start + i]));
+          // Candidates are instantiated one at a time as the batch binds
+          // them: a task holds two programs, not `count`.
+          const Program first = model.instantiate(xs[start]);
+          Program later;
           Executor ex(dev, eopt);  // shares the block cache; private report
-          const std::vector<double> v = ex.run_expectation_batch(progs, spec);
+          const std::vector<double> v = ex.run_expectation_batch(
+              count,
+              [&](std::size_t i) -> const Program& {
+                if (i == 0) return first;
+                later = model.instantiate(xs[start + i]);
+                return later;
+              },
+              spec);
           for (std::size_t i = 0; i < count; ++i) vals[start + i] = -v[i];
         });
       }

@@ -272,12 +272,15 @@ void Server::handle_await(Session& session, const Frame& frame) {
   }
   // Wait in slices so a stopping server never hangs on a long job; on stop
   // the session just ends and the outcome stays retained in the service.
+  // Once the Outcome frame is written the job is delivered and leaves the
+  // registry (a failed write throws past the release, keeping it fetchable).
   while (!stop_.load(std::memory_order_acquire)) {
     if (future->wait_for(kWatchInterval) == std::future_status::ready) {
       w.u8(1);
       future->get().serialize(w);
       write_frame(session.sock, FrameType::Outcome, payload);
       metrics_.frames_tx->inc();
+      service_.release(id);
       return;
     }
   }
@@ -330,6 +333,7 @@ void Server::handle_watch(Session& session, const Frame& frame) {
   }
   write_frame(session.sock, FrameType::Outcome, payload);
   metrics_.frames_tx->inc();
+  if (future) service_.release(id);  // delivered, like handle_await
 }
 
 void Server::serve_http(Socket& sock) {

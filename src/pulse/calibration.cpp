@@ -7,24 +7,39 @@
 
 namespace hgp::pulse {
 
-void CalibrationSet::set_qubit(std::size_t q, QubitCalibration cal) { qubits_[q] = cal; }
+void CalibrationSet::set_qubit(std::size_t q, QubitCalibration cal) {
+  const PulseShape unit = PulseShape::drag(cal.sx_duration, 1.0, cal.sx_sigma, cal.drag_beta);
+  qubits_[q] = {cal, unit.area_ns()};
+}
 
 void CalibrationSet::set_cr(std::size_t control, std::size_t target, std::size_t u_index,
                             CrCalibration cal) {
+  const PulseShape unit =
+      PulseShape::gaussian_square(cal.cr_duration, 1.0, cal.cr_sigma, cal.cr_width);
   cr_channel_[{control, target}] = u_index;
-  cr_cal_[{control, target}] = cal;
+  cr_cal_[{control, target}] = {cal, unit.area_ns()};
 }
 
-const QubitCalibration& CalibrationSet::qubit(std::size_t q) const {
+const CalibrationSet::Calibrated<QubitCalibration>& CalibrationSet::qubit_entry(
+    std::size_t q) const {
   const auto it = qubits_.find(q);
   HGP_REQUIRE(it != qubits_.end(), "CalibrationSet: qubit not calibrated");
   return it->second;
 }
 
-const CrCalibration& CalibrationSet::cr(std::size_t control, std::size_t target) const {
+const CalibrationSet::Calibrated<CrCalibration>& CalibrationSet::cr_entry(
+    std::size_t control, std::size_t target) const {
   const auto it = cr_cal_.find({control, target});
   HGP_REQUIRE(it != cr_cal_.end(), "CalibrationSet: pair has no CR calibration");
   return it->second;
+}
+
+const QubitCalibration& CalibrationSet::qubit(std::size_t q) const {
+  return qubit_entry(q).cal;
+}
+
+const CrCalibration& CalibrationSet::cr(std::size_t control, std::size_t target) const {
+  return cr_entry(control, target).cal;
 }
 
 std::size_t CalibrationSet::control_channel(std::size_t control, std::size_t target) const {
@@ -45,20 +60,16 @@ std::vector<std::size_t> CalibrationSet::control_channels_targeting(std::size_t 
 }
 
 double CalibrationSet::sx_amp(std::size_t q) const {
-  const QubitCalibration& c = qubit(q);
-  const PulseShape unit =
-      PulseShape::drag(c.sx_duration, 1.0, c.sx_sigma, c.drag_beta);
+  const Calibrated<QubitCalibration>& e = qubit_entry(q);
   // angle = 2π * rate * amp * area  ->  amp for a π/2 rotation.
-  return 0.25 / (c.drive_rate_ghz * unit.area_ns());
+  return 0.25 / (e.cal.drive_rate_ghz * e.unit_area_ns);
 }
 
 double CalibrationSet::cr_amp(std::size_t control, std::size_t target, double theta) const {
-  const CrCalibration& c = cr(control, target);
-  const PulseShape unit =
-      PulseShape::gaussian_square(c.cr_duration, 1.0, c.cr_sigma, c.cr_width);
+  const Calibrated<CrCalibration>& e = cr_entry(control, target);
   // Echoed ZX(theta): each half rotates by theta/2 in the exp(-i a/2 ZX)
   // convention, so 2π * mu_zx * amp * area = theta / 2.
-  return std::abs(theta) / (4.0 * la::kPi * c.mu_zx_ghz * unit.area_ns());
+  return std::abs(theta) / (4.0 * la::kPi * e.cal.mu_zx_ghz * e.unit_area_ns);
 }
 
 Schedule CalibrationSet::rz(std::size_t q, double angle) const {

@@ -54,6 +54,7 @@ class CalibrationSet {
   /// Analytic per-half CR amplitude for an echoed ZX(theta).
   double cr_amp(std::size_t control, std::size_t target, double theta) const;
 
+
   // ----- schedule builders (all on physical channels) -----
   /// Virtual RZ(angle) on q: phase shifts only, zero duration.
   Schedule rz(std::size_t q, double angle) const;
@@ -81,9 +82,21 @@ class CalibrationSet {
   static double drive_phase_shift(const Schedule& sched, std::size_t q);
 
  private:
-  std::map<std::size_t, QubitCalibration> qubits_;
+  /// A calibration plus the area (ns) of its unit-amplitude envelope — the
+  /// DRAG pulse of a qubit, the CR half of a pair. set_qubit/set_cr
+  /// integrate it once; sx_amp/cr_amp read it instead of re-integrating the
+  /// envelope on every schedule build.
+  template <typename Cal>
+  struct Calibrated {
+    Cal cal;
+    double unit_area_ns = 0.0;
+  };
+  const Calibrated<QubitCalibration>& qubit_entry(std::size_t q) const;
+  const Calibrated<CrCalibration>& cr_entry(std::size_t control, std::size_t target) const;
+
+  std::map<std::size_t, Calibrated<QubitCalibration>> qubits_;
   std::map<std::pair<std::size_t, std::size_t>, std::size_t> cr_channel_;
-  std::map<std::pair<std::size_t, std::size_t>, CrCalibration> cr_cal_;
+  std::map<std::pair<std::size_t, std::size_t>, Calibrated<CrCalibration>> cr_cal_;
 };
 
 }  // namespace hgp::pulse

@@ -93,6 +93,36 @@ std::shared_ptr<const core::CompiledBlock> BlockCache::find(const std::string& k
   return it->second.block;
 }
 
+std::shared_ptr<const core::CompiledTemplate> BlockCache::find_template(
+    const std::string& key) {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  const auto it = templates_.find(key);
+  if (it == templates_.end()) {
+    template_misses_.fetch_add(1, std::memory_order_relaxed);
+    return nullptr;
+  }
+  template_hits_.fetch_add(1, std::memory_order_relaxed);
+  template_lru_.splice(template_lru_.begin(), template_lru_, it->second);
+  return it->second->second;
+}
+
+void BlockCache::insert_template(const std::string& key,
+                                 std::shared_ptr<const core::CompiledTemplate> tmpl) {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  const auto it = templates_.find(key);
+  if (it != templates_.end()) {
+    it->second->second = std::move(tmpl);
+    template_lru_.splice(template_lru_.begin(), template_lru_, it->second);
+    return;
+  }
+  template_lru_.emplace_front(key, std::move(tmpl));
+  templates_[key] = template_lru_.begin();
+  if (templates_.size() > kTemplateCapacity) {
+    templates_.erase(template_lru_.back().first);
+    template_lru_.pop_back();
+  }
+}
+
 bool BlockCache::insert_locked(const std::string& key,
                                std::shared_ptr<const core::CompiledBlock> block,
                                BlockKind kind, std::uint64_t fingerprint,
@@ -275,9 +305,12 @@ BlockCache::Stats BlockCache::stats() const {
   s.store_misses = store_misses_.load(std::memory_order_relaxed);
   s.store_loaded = store_loaded_.load(std::memory_order_relaxed);
   s.capacity = capacity_;
+  s.template_hits = template_hits_.load(std::memory_order_relaxed);
+  s.template_misses = template_misses_.load(std::memory_order_relaxed);
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     s.size = map_.size();
+    s.templates = templates_.size();
   }
   return s;
 }
@@ -286,6 +319,8 @@ void BlockCache::clear() {
   const std::lock_guard<std::mutex> lock(mutex_);
   map_.clear();
   lru_.clear();
+  templates_.clear();
+  template_lru_.clear();
   reg_.size->set(0);
 }
 

@@ -15,6 +15,10 @@
 #include "serve/block_kind.hpp"
 #include "serve/block_store.hpp"
 
+namespace hgp::core {
+struct CompiledTemplate;
+}  // namespace hgp::core
+
 namespace hgp::serve {
 
 /// Thread-safe, LRU-bounded map from structure keys to compiled blocks.
@@ -59,6 +63,11 @@ class BlockCache {
     std::uint64_t store_loaded = 0;
     std::size_t size = 0;
     std::size_t capacity = 0;
+    /// Compiled-template lookups (find_template); not part of hits/misses.
+    std::uint64_t template_hits = 0;
+    std::uint64_t template_misses = 0;
+    /// Templates resident (at most kTemplateCapacity).
+    std::size_t templates = 0;
 
     double hit_rate() const {
       const std::uint64_t total = hits + misses;
@@ -88,6 +97,9 @@ class BlockCache {
     bool attached = false;        // write-through appender is active
   };
 
+  /// LRU bound of the compiled-template map.
+  static constexpr std::size_t kTemplateCapacity = 32;
+
   explicit BlockCache(std::size_t capacity = 4096);
   ~BlockCache();
 
@@ -108,6 +120,16 @@ class BlockCache {
                                                     core::CompiledBlock block,
                                                     BlockKind kind = BlockKind::Gate,
                                                     std::uint64_t fingerprint = 0);
+
+  /// Compiled program templates (core::Executor::bind), keyed by the
+  /// executor's backend/option prefix plus the program's op structure. They
+  /// live beside the blocks, in memory only: never written to the store,
+  /// LRU-bounded to kTemplateCapacity. find_template refreshes the entry's
+  /// LRU position (null on miss); insert_template replaces any entry under
+  /// the same key.
+  std::shared_ptr<const core::CompiledTemplate> find_template(const std::string& key);
+  void insert_template(const std::string& key,
+                       std::shared_ptr<const core::CompiledTemplate> tmpl);
 
   /// Snapshot every resident entry to `path` in BlockStore's format
   /// (atomic replace). Returns the number of records written.
@@ -173,6 +195,13 @@ class BlockCache {
   std::list<std::string> lru_;  // front = most recently used
   std::unordered_map<std::string, Entry> map_;
   std::size_t capacity_;
+  /// Template LRU: front = most recently used; guarded by mutex_.
+  using TemplateLru =
+      std::list<std::pair<std::string, std::shared_ptr<const core::CompiledTemplate>>>;
+  TemplateLru template_lru_;
+  std::unordered_map<std::string, TemplateLru::iterator> templates_;
+  std::atomic<std::uint64_t> template_hits_{0};
+  std::atomic<std::uint64_t> template_misses_{0};
   /// Traffic counters are atomics, not lock-guarded ints: stats() snapshots
   /// them without taking mutex_, so a monitoring thread polling a busy cache
   /// never tears a read and never contends with the workers' lookups. Each

@@ -148,7 +148,10 @@ std::vector<JobOutcome> JobService::run_all(std::vector<JobRequest> requests) {
   for (JobRequest& request : requests) handles.push_back(submit(std::move(request)));
   std::vector<JobOutcome> outcomes;
   outcomes.reserve(handles.size());
-  for (const JobHandle& handle : handles) outcomes.push_back(handle.outcome.get());
+  for (const JobHandle& handle : handles) {
+    outcomes.push_back(handle.outcome.get());
+    release(handle.id);
+  }
   return outcomes;
 }
 
@@ -328,6 +331,14 @@ std::size_t JobService::expire_overdue() {
     // (which saw the token we just fired) resolves it Expired instead.
   }
   return expired;
+}
+
+bool JobService::release(JobId id) {
+  const std::lock_guard<std::mutex> lock(jobs_mutex_);
+  const auto it = jobs_.find(id);
+  if (it == jobs_.end() || !job_state_terminal(it->second->state())) return false;
+  jobs_.erase(it);
+  return true;
 }
 
 std::size_t JobService::prune_finished() {

@@ -56,7 +56,8 @@ class JobService {
 
   /// Submit every request, then wait for each in submission order: the
   /// outcomes line up index for index with `requests` (a rejected request's
-  /// outcome is its Rejected verdict).
+  /// outcome is its Rejected verdict). Each job leaves the registry once its
+  /// outcome is collected.
   std::vector<JobOutcome> run_all(std::vector<JobRequest> requests);
 
   /// Request cooperative cancellation. A still-queued job resolves Cancelled
@@ -73,7 +74,8 @@ class JobService {
   /// This is how a party that did not submit the job — a reconnected wire
   /// client whose original session died mid-run — waits for or fetches the
   /// terminal outcome: the job keeps running when its submitter vanishes,
-  /// and the outcome is retained here until prune_finished() drops it.
+  /// and the outcome is retained here until it is delivered (release()) or
+  /// prune_finished() drops it.
   std::optional<std::shared_future<JobOutcome>> outcome(JobId id) const;
 
   /// Expire every queued job whose soft deadline has passed, without waiting
@@ -85,6 +87,13 @@ class JobService {
 
   /// Jobs currently in the Queued state (admission control's view).
   std::size_t queued() const;
+
+  /// Drop one terminal job from the registry once its outcome has been
+  /// delivered — by the wire server after writing its Outcome frame, by
+  /// run_all after collecting it — so a long-lived service does not retain
+  /// every finished request and result. Futures already handed out stay
+  /// valid. False (nothing dropped) for unknown or non-terminal ids.
+  bool release(JobId id);
 
   /// Drop terminal jobs from the registry (their futures stay valid — the
   /// shared state lives in the handle), after first expiring any queued job

@@ -1,7 +1,7 @@
 // The timeline block-fusion pass: embedding/composition algebra, fused vs
 // unfused parity on every deterministic-unitary engine path, the noisy
 // engines' knob-is-a-no-op guarantee (bit-identical counts), bit-identity of
-// the delta-compiled candidate lanes against scalar fused runs, fused-block
+// the template-bound candidate lanes against scalar fused runs, fused-block
 // cache hits across iterations and BlockStore warm starts, and the shared
 // transpile::PassStats reporting of the cancellation pass.
 #include <gtest/gtest.h>
@@ -322,7 +322,7 @@ TEST(FusionDeterminism, NoiselessCountsStableAcrossLanesAndThreads) {
           << "lanes=" << lanes << " threads=" << threads;
 }
 
-// ---- delta-compiled candidate lanes through fused slots ---------------------
+// ---- template-bound candidate lanes through fused slots ----------------------
 
 TEST(FusionDelta, BatchedCandidatesBitIdenticalToScalarFusedRuns) {
   const graph::Instance& inst = paper_instance();
@@ -360,11 +360,16 @@ TEST(FusionDelta, RepeatedBatchesReuseFusedBlocks) {
   const std::vector<double> first = ex.run_expectation_batch(progs, spec);
   const auto s1 = cache->stats();
   EXPECT_GT(s1.fused_misses, 0u);
+  EXPECT_EQ(s1.template_misses, 1u);  // one structure, one template
+  EXPECT_EQ(s1.template_hits, progs.size() - 1);
   const std::vector<double> second = ex.run_expectation_batch(progs, spec);
   const auto s2 = cache->stats();
-  // The second identical batch composes nothing new: pure fused hits.
+  // The second identical batch binds every lane to the template and reuses
+  // its fused blocks: no fused lookup, no new composition.
   EXPECT_EQ(s2.fused_misses, s1.fused_misses);
-  EXPECT_GT(s2.fused_hits, s1.fused_hits);
+  EXPECT_EQ(s2.fused_hits, s1.fused_hits);
+  EXPECT_EQ(s2.template_hits, s1.template_hits + progs.size());
+  EXPECT_EQ(s2.template_misses, 1u);
   EXPECT_EQ(first, second);
 }
 
@@ -378,15 +383,24 @@ TEST(FusionCache, SecondRunServesFusedBlocksFromCache) {
 
   auto cache = std::make_shared<serve::BlockCache>(4096);
   Executor ex = make_executor(2, false, cache);
-  Rng r0(2), r1(2);
+  Rng r0(2), r1(2), r2(2);
   const double a = ex.run_expectation(prog, 8, r0, spec);
   const auto s1 = cache->stats();
   EXPECT_GT(s1.fused_misses, 0u);
-  const double b = ex.run_expectation(prog, 8, r1, spec);
+  // A trailing barrier is a new program structure with the same timeline:
+  // its template compiles in full and every fused block hits.
+  Program fenced = prog;
+  fenced.ops.push_back(ExecOp::from_gate(qc::Op{qc::GateKind::Barrier, {}, {}}));
+  const double b = ex.run_expectation(fenced, 8, r1, spec);
   const auto s2 = cache->stats();
   EXPECT_EQ(s2.fused_misses, s1.fused_misses);
   EXPECT_GE(s2.fused_hits, s1.fused_hits + s1.fused_misses);
   EXPECT_EQ(a, b);
+  // Re-running the first program binds its template: no fused lookup.
+  const double c = ex.run_expectation(prog, 8, r2, spec);
+  EXPECT_EQ(cache->stats().fused_hits, s2.fused_hits);
+  EXPECT_EQ(cache->stats().fused_misses, s2.fused_misses);
+  EXPECT_EQ(a, c);
 }
 
 TEST(FusionCache, StoreWarmStartSkipsComposition) {

@@ -477,6 +477,30 @@ TEST(JobService, PruneDropsTerminalJobs) {
   EXPECT_EQ(h.outcome.get().state, JobState::Completed);
 }
 
+TEST(JobService, ReleaseDropsADeliveredJob) {
+  JobService svc(JobService::Options{1, 1024});
+  JobHandle h = svc.submit(JobRequest{good_job("release")});
+  h.outcome.wait();
+  EXPECT_TRUE(svc.release(h.id));
+  EXPECT_FALSE(svc.state(h.id).has_value());
+  EXPECT_FALSE(svc.outcome(h.id).has_value());
+  EXPECT_FALSE(svc.release(h.id));  // already gone
+  EXPECT_FALSE(svc.release(h.id + 100));  // never existed
+  EXPECT_EQ(h.outcome.get().state, JobState::Completed);
+}
+
+TEST(JobService, RunAllReleasesCollectedJobs) {
+  JobService svc(JobService::Options{1, 1024});
+  std::vector<JobRequest> reqs{JobRequest{good_job("a")}, JobRequest{good_job("b")}};
+  const std::vector<JobOutcome> outs = svc.run_all(std::move(reqs));
+  ASSERT_EQ(outs.size(), 2u);
+  for (JobId id : {JobId{1}, JobId{2}}) {
+    EXPECT_FALSE(svc.state(id).has_value());
+    EXPECT_FALSE(svc.outcome(id).has_value());
+  }
+  EXPECT_EQ(svc.prune_finished(), 0u);
+}
+
 TEST(JobService, RejectedSubmitResolvesImmediately) {
   JobService svc(JobService::Options{1, 64});
   SweepJob bad = good_job("reject-me");

@@ -169,8 +169,20 @@ TEST(NetLoopback, PollTracksLifecycleAndWatchStreamsIt) {
   ASSERT_FALSE(seen.empty());
   EXPECT_TRUE(serve::job_state_terminal(seen.back()));
   EXPECT_EQ(seen.back(), serve::JobState::Completed);
-  // After the watch the job is terminal for polls too.
-  EXPECT_EQ(client.poll(submitted.id), serve::JobState::Completed);
+  // The watch delivered the outcome, so the job has left the registry.
+  EXPECT_EQ(client.poll(submitted.id), std::nullopt);
+}
+
+TEST(NetLoopback, DeliveredOutcomeLeavesTheRegistry) {
+  net::Server server(loopback_options(1));
+  net::Client client("127.0.0.1", server.port());
+  const auto submitted = client.submit(wire_request("net/release"));
+  ASSERT_TRUE(submitted.accepted());
+  const auto outcome = client.await(submitted.id);
+  ASSERT_TRUE(outcome && outcome->state == serve::JobState::Completed);
+  EXPECT_FALSE(server.service().outcome(submitted.id).has_value());
+  EXPECT_FALSE(server.service().state(submitted.id).has_value());
+  EXPECT_EQ(client.poll(submitted.id), std::nullopt);
 }
 
 TEST(NetLoopback, ValidationRejectionTravelsAsStructuredError) {

@@ -108,15 +108,29 @@ TEST(BlockCache, ExecutorHitsOnReboundBlocksAndSharesAcrossExecutors) {
   const serve::BlockCache::Stats first = ex.cache_stats();
   EXPECT_EQ(first.hits, 0u);
   EXPECT_EQ(first.misses, 2u);  // SX(0) + CX(0,1); virtual RZ blocks bypass
+  EXPECT_EQ(first.template_misses, 1u);
+  EXPECT_EQ(first.templates, 1u);
 
-  ex.run(bell_program(), 32, rng);  // second evaluation: everything hits
-  EXPECT_EQ(ex.cache_stats().hits, 2u);
+  // Second evaluation: the program binds to its compiled template and, with
+  // no parameter changed, looks up no block at all.
+  ex.run(bell_program(), 32, rng);
+  EXPECT_EQ(ex.cache_stats().hits, 0u);
   EXPECT_EQ(ex.cache_stats().misses, 2u);
+  EXPECT_EQ(ex.cache_stats().template_hits, 1u);
 
   Executor other(toronto(), opts);  // concurrent-run sharing: same cache
   other.run(bell_program(), 32, rng);
-  EXPECT_EQ(cache->stats().hits, 4u);
+  EXPECT_EQ(cache->stats().template_hits, 2u);
+  EXPECT_EQ(cache->stats().template_misses, 1u);
   EXPECT_EQ(cache->stats().misses, 2u);
+
+  // A new program structure compiles in full and hits the shared blocks.
+  Program wider = bell_program();
+  wider.measure_qubits = {1, 0};
+  other.run(wider, 32, rng);
+  EXPECT_EQ(cache->stats().hits, 2u);
+  EXPECT_EQ(cache->stats().misses, 2u);
+  EXPECT_EQ(cache->stats().templates, 2u);
 }
 
 TEST(BlockCache, KeyDiscriminatesParametersAndCalibration) {
@@ -129,9 +143,13 @@ TEST(BlockCache, KeyDiscriminatesParametersAndCalibration) {
 
   ex.run(rzz_program(0.3), 16, rng);
   EXPECT_EQ(cache->stats().misses, 1u);
-  ex.run(rzz_program(0.3), 16, rng);  // re-bound identical parameter: hit
-  EXPECT_EQ(cache->stats().hits, 1u);
+  ex.run(rzz_program(0.3), 16, rng);  // the template's own angle: no lookup
+  EXPECT_EQ(cache->stats().hits, 0u);
+  EXPECT_EQ(cache->stats().misses, 1u);
   ex.run(rzz_program(0.3000001), 16, rng);  // nearby angle: its own slot
+  EXPECT_EQ(cache->stats().misses, 2u);
+  ex.run(rzz_program(0.3000001), 16, rng);  // re-bound identical parameter: hit
+  EXPECT_EQ(cache->stats().hits, 1u);
   EXPECT_EQ(cache->stats().misses, 2u);
 
   // Recalibration: a drifted device must not replay blocks compiled for the
@@ -144,6 +162,7 @@ TEST(BlockCache, KeyDiscriminatesParametersAndCalibration) {
   ex2.run(rzz_program(0.3), 16, rng);
   EXPECT_EQ(cache->stats().hits, before.hits);
   EXPECT_EQ(cache->stats().misses, before.misses + 1);
+  EXPECT_EQ(cache->stats().template_misses, before.template_misses + 1);
 }
 
 namespace {
@@ -171,20 +190,24 @@ TEST(BlockCachePulse, ExecutorServesRepeatedPulseBlocksFromCache) {
   Executor ex(toronto(), opts);
   Rng rng(3);
 
-  ex.run(mixer_program(0.2), 32, rng);
+  ex.run(mixer_program(0.1), 32, rng);  // compiles the template
+  ex.run(mixer_program(0.2), 32, rng);  // re-lowers the pulse slot: miss
   serve::BlockCache::Stats s = ex.cache_stats();
-  EXPECT_EQ(s.pulse_misses, 1u);
+  EXPECT_EQ(s.pulse_misses, 2u);
   EXPECT_EQ(s.pulse_hits, 0u);
 
   ex.run(mixer_program(0.2), 32, rng);  // repeated candidate angle: hit
   s = ex.cache_stats();
   EXPECT_EQ(s.pulse_hits, 1u);
-  EXPECT_EQ(s.pulse_misses, 1u);
+  EXPECT_EQ(s.pulse_misses, 2u);
   // Totals fold both kinds; this program has no cacheable gate blocks.
   EXPECT_EQ(s.hits, s.gate_hits + s.pulse_hits);
 
   ex.run(mixer_program(0.2 + 1e-9), 32, rng);  // nearby amplitude: own slot
-  EXPECT_EQ(ex.cache_stats().pulse_misses, 2u);
+  EXPECT_EQ(ex.cache_stats().pulse_misses, 3u);
+  ex.run(mixer_program(0.1), 32, rng);  // the template's own amplitude: no lookup
+  EXPECT_EQ(ex.cache_stats().pulse_misses, 3u);
+  EXPECT_EQ(ex.cache_stats().pulse_hits, 1u);
 }
 
 TEST(BlockCachePulse, CountsBitIdenticalCacheOnVsOff) {
@@ -196,10 +219,12 @@ TEST(BlockCachePulse, CountsBitIdenticalCacheOnVsOff) {
   warm_opts.block_cache = shared;
   warm_opts.num_threads = 1;
   Executor warm(toronto(), warm_opts);
+  Rng w0(5);
+  warm.run(mixer_program(0.1), 16, w0);  // template at another amplitude
   Rng w1(11);
-  const sim::Counts warm_first = warm.run(prog, 512, w1);
-  const sim::Counts warm_second = warm.run(prog, 512, w1);  // all pulse hits
-  EXPECT_GT(warm.cache_stats().pulse_hits, 0u);
+  const sim::Counts warm_first = warm.run(prog, 512, w1);   // pulse miss
+  const sim::Counts warm_second = warm.run(prog, 512, w1);  // pulse hit
+  EXPECT_EQ(warm.cache_stats().pulse_hits, 1u);
 
   ExecutorOptions cold_opts;
   cold_opts.num_threads = 1;
@@ -220,6 +245,7 @@ TEST(BlockCachePulse, CalibrationChangeInvalidatesPulseEntries) {
   const backend::FakeBackend dev = backend::make_toronto();
   Executor ex(dev, opts);
   Rng rng(9);
+  ex.run(mixer_program(0.1), 16, rng);
   ex.run(mixer_program(0.2), 16, rng);
   ex.run(mixer_program(0.2), 16, rng);
   EXPECT_EQ(cache->stats().pulse_hits, 1u);
@@ -232,6 +258,7 @@ TEST(BlockCachePulse, CalibrationChangeInvalidatesPulseEntries) {
   ex2.run(mixer_program(0.2), 16, rng);  // same schedule, drifted device
   EXPECT_EQ(cache->stats().pulse_hits, before.pulse_hits);
   EXPECT_EQ(cache->stats().pulse_misses, before.pulse_misses + 1);
+  EXPECT_EQ(cache->stats().template_misses, before.template_misses + 1);
 }
 
 TEST(BlockCachePulse, HybridQaoaRunHitsAcrossOptimizerIterations) {

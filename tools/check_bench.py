@@ -12,8 +12,9 @@ against the committed baselines in bench/baselines/ and fails (exit 1) if:
   * a tracked speedup falls below its tolerance-scaled floor,
     current < baseline * (1 - tol), or
   * a tracked overhead ratio rises above its tolerance-scaled ceiling,
-    current > baseline * (1 + tol). Only dimensionless ratios are gated --
-    absolute seconds vary with the host, ratios mostly do not.
+    current > baseline * (1 + tol), where a FIELD_TOL entry may tighten tol
+    for one field. Only dimensionless ratios are gated -- absolute seconds
+    vary with the host, ratios mostly do not.
 
 A markdown delta table goes to stdout and, when $GITHUB_STEP_SUMMARY is set,
 into the job summary.
@@ -40,7 +41,7 @@ import sys
 SPEEDUP_FIELDS = {
     "BENCH_shotloop.json": ["speedup", "task1.speedup"],
     "BENCH_sweep.json": ["speedup"],
-    "BENCH_pulse.json": ["speedup", "ir_speedup"],
+    "BENCH_pulse.json": ["speedup", "ir_speedup", "template_speedup"],
     "BENCH_gradient.json": ["expectation_speedup", "gradient_speedup"],
     "BENCH_fusion.json": ["shotloop_speedup", "batch_speedup"],
 }
@@ -51,6 +52,11 @@ OVERHEAD_FIELDS = {
     "BENCH_obs.json": ["overhead_ratio"],
     "BENCH_jobs.json": ["overhead_ratio"],
     "BENCH_net.json": ["overhead_ratio"],
+}
+# Per-field tolerances tighter than --tol, for ratios measured precisely
+# enough to gate closer (the effective tolerance is the smaller of the two).
+FIELD_TOL = {
+    ("BENCH_obs.json", "overhead_ratio"): 0.15,
 }
 BENCH_FILES = sorted(set(SPEEDUP_FIELDS) | set(OVERHEAD_FIELDS))
 
@@ -142,7 +148,8 @@ def check_baselines(baseline_dir, current_dir, tol):
             if not isinstance(cur, (int, float)):
                 failures.append(f"{name}: current lacks numeric '{field}'")
                 continue
-            ceiling = base * (1.0 + tol)
+            field_tol = min(tol, FIELD_TOL.get((name, field), tol))
+            ceiling = base * (1.0 + field_tol)
             delta = (cur - base) / base * 100.0 if base else 0.0
             status = "ok" if cur <= ceiling else "FAIL"
             rows.append((name, field, f"{base:.3f}x", f"{cur:.3f}x",
@@ -150,11 +157,13 @@ def check_baselines(baseline_dir, current_dir, tol):
             if cur > ceiling:
                 failures.append(
                     f"{name}: {field} {cur:.3f}x rose above the ceiling "
-                    f"{ceiling:.3f}x (baseline {base:.3f}x, tol {tol:.0%})")
+                    f"{ceiling:.3f}x (baseline {base:.3f}x, tol {field_tol:.0%})")
 
     lines = ["## Bench regression gate", "",
              f"Tolerance: speedups may drop at most {tol:.0%} below baseline; "
-             f"overheads may rise at most {tol:.0%} above baseline.", "",
+             f"overheads may rise at most {tol:.0%} above baseline (tighter "
+             f"per-field tolerances: " + ", ".join(
+                 f"{n} {f} {t:.0%}" for (n, f), t in sorted(FIELD_TOL.items())) + ").", "",
              "| bench | field | baseline | current | delta | status |",
              "|---|---|---|---|---|---|"]
     for bench, field, base, cur, delta, status in rows:
