@@ -12,7 +12,6 @@
 #include <mutex>
 #include <sstream>
 #include <thread>
-#include <type_traits>
 
 #include "common/error.hpp"
 #include "core/fusion.hpp"
@@ -691,53 +690,8 @@ bool same_bits(double a, double b) {
   return std::memcmp(&a, &b, sizeof a) == 0;
 }
 
-bool same_instruction(const pulse::Play& a, const pulse::Play& b) {
-  const pulse::PulseShape& x = a.shape;
-  const pulse::PulseShape& y = b.shape;
-  return a.channel == b.channel && x.kind() == y.kind() && x.duration() == y.duration() &&
-         same_bits(x.amp(), y.amp()) && same_bits(x.sigma(), y.sigma()) &&
-         same_bits(x.width(), y.width()) && same_bits(x.beta(), y.beta()) &&
-         same_bits(x.angle(), y.angle());
-}
-bool same_instruction(const pulse::Delay& a, const pulse::Delay& b) {
-  return a.channel == b.channel && a.duration == b.duration;
-}
-template <typename Frame>
-bool same_instruction(const Frame& a, const Frame& b) {
-  if constexpr (std::is_same_v<Frame, pulse::Acquire>) {
-    return a.qubit == b.qubit && a.duration == b.duration;
-  } else if constexpr (std::is_same_v<Frame, pulse::ShiftPhase> ||
-                       std::is_same_v<Frame, pulse::SetPhase>) {
-    return a.channel == b.channel && same_bits(a.phase, b.phase);
-  } else {
-    return a.channel == b.channel && same_bits(a.freq_ghz, b.freq_ghz);
-  }
-}
-
-/// Instruction-for-instruction equality, parameters bit for bit. Equal
-/// schedules have equal fingerprints, so this settles "unchanged" without
-/// rendering the fingerprint's hexfloat text.
-bool same_schedule(const pulse::Schedule& a, const pulse::Schedule& b) {
-  const std::vector<pulse::TimedInstruction>& x = a.instructions();
-  const std::vector<pulse::TimedInstruction>& y = b.instructions();
-  if (x.size() != y.size()) return false;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    if (x[i].t0 != y[i].t0 || x[i].inst.index() != y[i].inst.index()) return false;
-    const bool same = std::visit(
-        [&](const auto& xi) {
-          return same_instruction(xi, std::get<std::decay_t<decltype(xi)>>(y[i].inst));
-        },
-        x[i].inst);
-    if (!same) return false;
-  }
-  return true;
-}
-
 bool same_op_unitary(const ExecOp& a, const ExecOp& b) {
-  if (a.is_pulse)
-    return same_schedule(a.schedule, b.schedule) ||
-           (a.schedule.duration() == b.schedule.duration() &&
-            a.schedule.fingerprint() == b.schedule.fingerprint());
+  if (a.is_pulse) return a.schedule == b.schedule;
   for (std::size_t i = 0; i < a.gate.params.size(); ++i) {
     const qc::Param& pa = a.gate.params[i];
     const qc::Param& pb = b.gate.params[i];
@@ -1083,9 +1037,6 @@ std::shared_ptr<const CompiledTemplate> Executor::make_template(const Program& p
   auto t = std::make_shared<CompiledTemplate>();
   t->program = lower_program(program, max_qubits);
   t->ops = program.ops;
-  t->pulse_fingerprints.assign(program.ops.size(), 0);
-  for (std::size_t i = 0; i < program.ops.size(); ++i)
-    if (program.ops[i].is_pulse) t->pulse_fingerprints[i] = program.ops[i].schedule.fingerprint();
   t->slot_ops.resize(t->program.timeline.size());
   for (std::size_t i = 0; i < program.ops.size(); ++i)
     if (t->program.op_slot[i] >= 0)
@@ -1106,8 +1057,14 @@ std::shared_ptr<const CompiledTemplate> Executor::relower(const Program& program
                                                           std::vector<SlotBlock>& changed) {
   changed.clear();
   std::ostringstream key;
-  key << key_prefix_ << "template,cap=" << max_qubits << ",fuse=" << fusion_width()
-      << ",h=" << std::hex << structure_hash(program);
+  // A noiseless template carries its fused timeline, a noisy one none, so
+  // the noise mode is part of the key even where the widths agree.
+  key << key_prefix_ << "template,cap=" << max_qubits << ",fuse=";
+  if (options_.noise)
+    key << "noisy";
+  else
+    key << fusion_width();
+  key << ",h=" << std::hex << structure_hash(program);
   std::shared_ptr<const CompiledTemplate> t = cache_->find_template(key.str());
   if (!t) {
     t = make_template(program, max_qubits);
@@ -1127,13 +1084,8 @@ std::shared_ptr<const CompiledTemplate> Executor::relower(const Program& program
     CompiledBlock block;
     if (first.is_pulse) {
       // Pulse blocks never fold: one op per slot.
-      const pulse::Schedule& ref = t->ops[ops.front()].schedule;
-      if (same_schedule(first.schedule, ref)) continue;
-      const std::uint64_t fp = first.schedule.fingerprint();
-      if (fp == t->pulse_fingerprints[ops.front()] &&
-          first.schedule.duration() == ref.duration())
-        continue;
-      block = compile_pulse(first, fp);
+      if (first.schedule == t->ops[ops.front()].schedule) continue;
+      block = compile_pulse(first, first.schedule.fingerprint());
     } else {
       const bool differs = std::any_of(ops.begin(), ops.end(), [&](std::size_t i) {
         return !same_op_unitary(program.ops[i], t->ops[i]);
@@ -1148,7 +1100,10 @@ std::shared_ptr<const CompiledTemplate> Executor::relower(const Program& program
         block.structure_key += "|" + next.structure_key;
       }
     }
-    if (!same_block_metadata(block, t->program.timeline[s].block)) return nullptr;
+    if (!same_block_metadata(block, t->program.timeline[s].block)) {
+      changed.clear();  // numbered by the template's slots: void on fallback
+      return nullptr;
+    }
     changed.emplace_back(s, std::move(block));
   }
   return t;

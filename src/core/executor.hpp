@@ -152,8 +152,6 @@ struct ExecutionReport {
 /// it and a recalibrated backend never binds to it.
 struct CompiledTemplate {
   std::vector<ExecOp> ops;
-  /// Schedule fingerprint of each pulse op (0 for gate ops).
-  std::vector<std::uint64_t> pulse_fingerprints;
   CompiledProgram program;
   /// Per timeline slot, the ops lowered into it in program order (several
   /// when consecutive virtual gates fold).

@@ -292,8 +292,12 @@ void Server::handle_watch(Session& session, const Frame& frame) {
     send_error(session, WireStatus::BadPayload, "malformed watch");
     return;
   }
-  auto last = service_.state(id);
-  if (!last) {
+  // Hold the outcome future for the whole watch. Another session may deliver
+  // the same job (Await or Watch) and release it from the registry mid-watch;
+  // the held future still resolves, so the watch ends on it, not on the
+  // registry state, and a missing state() only means "already delivered".
+  const auto future = service_.outcome(id);
+  if (!future) {
     std::string payload;
     io::Writer w(payload);
     w.u64(id);
@@ -302,6 +306,7 @@ void Server::handle_watch(Session& session, const Frame& frame) {
     metrics_.frames_tx->inc();
     return;
   }
+  std::optional<serve::JobState> last;
   auto emit_state = [&](serve::JobState s) {
     std::string payload;
     io::Writer w(payload);
@@ -309,31 +314,25 @@ void Server::handle_watch(Session& session, const Frame& frame) {
     w.u8(static_cast<std::uint8_t>(s));
     write_frame(session.sock, FrameType::StateEvent, payload);
     metrics_.frames_tx->inc();
+    last = s;
   };
-  emit_state(*last);
-  while (!stop_.load(std::memory_order_acquire)) {
+  if (const auto now = service_.state(id)) emit_state(*now);
+  for (;;) {
+    if (stop_.load(std::memory_order_acquire)) return;  // stopped mid-watch
+    if (future->wait_for(kWatchInterval) == std::future_status::ready) break;
     const auto now = service_.state(id);
-    if (now && now != last) {
-      emit_state(*now);
-      last = now;
-    }
-    if (last && serve::job_state_terminal(*last)) break;
-    std::this_thread::sleep_for(kWatchInterval);
+    if (now && now != last) emit_state(*now);
   }
-  if (!last || !serve::job_state_terminal(*last)) return;  // stopped mid-watch
-  const auto future = service_.outcome(id);
+  const serve::JobOutcome& outcome = future->get();
+  if (last != outcome.state) emit_state(outcome.state);
   std::string payload;
   io::Writer w(payload);
   w.u64(id);
-  if (future) {
-    w.u8(1);
-    future->get().serialize(w);  // terminal state ⇒ resolves immediately
-  } else {
-    w.u8(0);
-  }
+  w.u8(1);
+  outcome.serialize(w);
   write_frame(session.sock, FrameType::Outcome, payload);
   metrics_.frames_tx->inc();
-  if (future) service_.release(id);  // delivered, like handle_await
+  service_.release(id);  // delivered, like handle_await
 }
 
 void Server::serve_http(Socket& sock) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <sstream>
 #include <tuple>
 
@@ -15,6 +16,31 @@ void append_hex(std::string& out, const char* tag, double v) {
   char buf[48];
   std::snprintf(buf, sizeof(buf), "%s%a", tag, v);
   out += buf;
+}
+
+bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+/// Field-for-field instruction equality: every field fingerprint() renders.
+bool same_instruction(const Play& a, const Play& b) {
+  return a.channel == b.channel && a.shape == b.shape;
+}
+bool same_instruction(const Delay& a, const Delay& b) {
+  return a.channel == b.channel && a.duration == b.duration;
+}
+bool same_instruction(const ShiftPhase& a, const ShiftPhase& b) {
+  return a.channel == b.channel && same_bits(a.phase, b.phase);
+}
+bool same_instruction(const SetPhase& a, const SetPhase& b) {
+  return a.channel == b.channel && same_bits(a.phase, b.phase);
+}
+bool same_instruction(const ShiftFrequency& a, const ShiftFrequency& b) {
+  return a.channel == b.channel && same_bits(a.freq_ghz, b.freq_ghz);
+}
+bool same_instruction(const SetFrequency& a, const SetFrequency& b) {
+  return a.channel == b.channel && same_bits(a.freq_ghz, b.freq_ghz);
+}
+bool same_instruction(const Acquire& a, const Acquire& b) {
+  return a.qubit == b.qubit && a.duration == b.duration;
 }
 
 }  // namespace
@@ -169,6 +195,22 @@ std::uint64_t Schedule::fingerprint() const {
     mix(";");
   }
   return h;
+}
+
+bool Schedule::operator==(const Schedule& o) const {
+  if (instructions_.size() != o.instructions_.size()) return false;
+  for (std::size_t i = 0; i < instructions_.size(); ++i) {
+    const TimedInstruction& x = instructions_[i];
+    const TimedInstruction& y = o.instructions_[i];
+    if (x.t0 != y.t0 || x.inst.index() != y.inst.index()) return false;
+    const bool same = std::visit(
+        [&y](const auto& xi) {
+          return same_instruction(xi, std::get<std::decay_t<decltype(xi)>>(y.inst));
+        },
+        x.inst);
+    if (!same) return false;
+  }
+  return true;
 }
 
 void Schedule::keep_sorted() {

@@ -114,6 +114,12 @@ class Schedule {
   /// append sequences fingerprint identically iff they realize the same
   /// program. The name is cosmetic and excluded.
   std::uint64_t fingerprint() const;
+  /// Instruction-for-instruction equality in stored order: start times,
+  /// kinds, channels, durations, and shape/frame parameters bit for bit.
+  /// The name is excluded, as in fingerprint(). Equal schedules have equal
+  /// fingerprints; this settles "unchanged" without rendering any text.
+  bool operator==(const Schedule& o) const;
+  bool operator!=(const Schedule& o) const { return !(*this == o); }
 
   /// Multi-line ASCII rendering: one row per channel with pulse boxes.
   std::string draw() const;

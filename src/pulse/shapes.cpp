@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <sstream>
 
 #include "common/error.hpp"
@@ -156,6 +157,13 @@ std::string PulseShape::key_str() const {
   std::snprintf(buf, sizeof(buf), "k%d,d%d,%a,%a,%a,%a,%a", static_cast<int>(kind_),
                 duration_, amp_, sigma_, width_, beta_, angle_);
   return buf;
+}
+
+bool PulseShape::operator==(const PulseShape& o) const {
+  auto same = [](double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; };
+  return kind_ == o.kind_ && duration_ == o.duration_ && same(amp_, o.amp_) &&
+         same(sigma_, o.sigma_) && same(width_, o.width_) && same(beta_, o.beta_) &&
+         same(angle_, o.angle_);
 }
 
 std::string PulseShape::str() const {

@@ -59,6 +59,10 @@ class PulseShape {
   /// parameter is hexfloat-formatted (lossless), so nearby amplitudes or
   /// angles can never collide on one cache slot.
   std::string key_str() const;
+  /// Bitwise equality of every field key_str() renders: kind, duration and
+  /// each parameter bit for bit (so -0.0 != 0.0), without rendering text.
+  bool operator==(const PulseShape& o) const;
+  bool operator!=(const PulseShape& o) const { return !(*this == o); }
 
  private:
   ShapeKind kind_ = ShapeKind::Constant;

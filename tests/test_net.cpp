@@ -185,6 +185,60 @@ TEST(NetLoopback, DeliveredOutcomeLeavesTheRegistry) {
   EXPECT_EQ(client.poll(submitted.id), std::nullopt);
 }
 
+TEST(NetLoopback, EveryWatcherAndAwaiterOfOneJobGetsItsOutcome) {
+  // One worker pinned by a slow job keeps the followed job queued until two
+  // watchers and an awaiter have all sent their frames. Whichever session
+  // delivers first releases the job from the registry; the others must
+  // still get their Outcome frame, not hang or read the job as unknown.
+  net::Server server(loopback_options(1));
+  net::Client client("127.0.0.1", server.port());
+  const auto blocker = client.submit(slow_request("net/follow-blocker"));
+  ASSERT_TRUE(blocker.accepted());
+  const auto submitted = client.submit(wire_request("net/followed"));
+  ASSERT_TRUE(submitted.accepted());
+
+  net::Client watcher_a("127.0.0.1", server.port());
+  net::Client watcher_b("127.0.0.1", server.port());
+  net::Client awaiter("127.0.0.1", server.port());
+  // The received-frame counter tells when all three sessions have sent
+  // their frames (it only counts with telemetry on).
+  const bool obs_was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  obs::Counter& frames_rx = obs::Registry::global().counter("net.frames_rx");
+  const std::uint64_t rx_before = frames_rx.value();
+  std::vector<serve::JobState> seen_a, seen_b;
+  auto watched_a = std::async(std::launch::async, [&] {
+    return watcher_a.watch(submitted.id, [&](serve::JobState s) { seen_a.push_back(s); });
+  });
+  auto watched_b = std::async(std::launch::async, [&] {
+    return watcher_b.watch(submitted.id, [&](serve::JobState s) { seen_b.push_back(s); });
+  });
+  auto awaited = std::async(std::launch::async, [&] { return awaiter.await(submitted.id); });
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (frames_rx.value() < rx_before + 3 && std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  const std::uint64_t rx_seen = frames_rx.value();
+  obs::set_enabled(obs_was_enabled);
+  EXPECT_TRUE(client.cancel(blocker.id));
+  ASSERT_GE(rx_seen, rx_before + 3);
+
+  const auto a = watched_a.get();
+  const auto b = watched_b.get();
+  const auto c = awaited.get();
+  ASSERT_TRUE(a && b && c);
+  EXPECT_EQ(a->state, serve::JobState::Completed);
+  EXPECT_EQ(b->state, serve::JobState::Completed);
+  EXPECT_EQ(c->state, serve::JobState::Completed);
+  expect_same_result(a->result, c->result);
+  expect_same_result(b->result, c->result);
+  // Each watch ends on the terminal state event, even when another session
+  // released the job first.
+  ASSERT_FALSE(seen_a.empty() || seen_b.empty());
+  EXPECT_EQ(seen_a.back(), serve::JobState::Completed);
+  EXPECT_EQ(seen_b.back(), serve::JobState::Completed);
+  EXPECT_FALSE(server.service().state(submitted.id).has_value());
+}
+
 TEST(NetLoopback, ValidationRejectionTravelsAsStructuredError) {
   net::Server server(loopback_options());
   net::Client client("127.0.0.1", server.port());

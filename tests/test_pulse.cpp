@@ -196,6 +196,43 @@ TEST(ScheduleFingerprint, EqualContentKeysEqually) {
   EXPECT_EQ(a.fingerprint(), b.fingerprint());
 }
 
+TEST(ScheduleEquality, ComparesEveryFieldBitForBit) {
+  const Schedule a = mixer_like(0.2, 0.3, 0.05);
+  Schedule b = mixer_like(0.2, 0.3, 0.05);
+  b.set_name("renamed");  // cosmetic only, as in fingerprint()
+  EXPECT_TRUE(a == b);
+  EXPECT_EQ(a.fingerprint(), b.fingerprint());
+
+  EXPECT_TRUE(a != mixer_like(0.2 + 1e-9, 0.3, 0.05));  // shape amplitude
+  EXPECT_TRUE(a != mixer_like(0.2, 0.3 + 1e-9, 0.05));  // frame phase
+  EXPECT_TRUE(a != mixer_like(0.2, 0.3, 0.05 + 1e-9));  // frame frequency
+  EXPECT_TRUE(mixer_like(0.2, 0.0, 0.0) != mixer_like(0.2, -0.0, 0.0));  // sign of zero
+
+  const Channel d = Channel::drive(0);
+  const pulse::Play p{PulseShape::gaussian(64, 0.1, 16.0), d};
+  Schedule at0;
+  at0.insert(0, p);
+  Schedule at16;
+  at16.insert(16, p);
+  EXPECT_TRUE(at0 != at16);  // start time
+  Schedule other_channel;
+  other_channel.insert(0, pulse::Play{p.shape, Channel::drive(1)});
+  EXPECT_TRUE(at0 != other_channel);
+  Schedule drag;
+  drag.insert(0, pulse::Play{PulseShape::drag(64, 0.1, 16.0, 0.0), d});
+  EXPECT_TRUE(at0 != drag);  // shape kind
+
+  Schedule delay_a, delay_b, acquire_a, acquire_b;
+  delay_a.append(pulse::Delay{32, d});
+  delay_b.append(pulse::Delay{48, d});
+  acquire_a.append(pulse::Acquire{32, 0});
+  acquire_b.append(pulse::Acquire{32, 1});
+  EXPECT_TRUE(delay_a != delay_b);
+  EXPECT_TRUE(acquire_a != acquire_b);
+  EXPECT_TRUE(delay_a != acquire_a);  // instruction kind
+  EXPECT_TRUE(at0 != Schedule());
+}
+
 TEST(ScheduleFingerprint, OrderStableAcrossChannels) {
   // The same physical program assembled in two append orders: plays on
   // distinct channels at one start time commute, so the keys must match.

@@ -197,6 +197,37 @@ TEST(CompiledTemplate, MetadataChangeFallsBackToFullCompile) {
   EXPECT_EQ(bound.program.timeline[0].block.drive_plays, 2u);
 }
 
+TEST(CompiledTemplate, NoisyAndNoiselessTemplatesAreKeptApart) {
+  // A noisy executor lowering gates exactly (coherent_noise off) and a
+  // noiseless one with fusion off share every block key, but only the
+  // noiseless template carries a fused timeline, so they must not share one.
+  core::ModelConfig mcfg;
+  const core::QaoaModel model =
+      core::QaoaModel::build(task1().graph, toronto(), ModelKind::Hybrid, mcfg);
+  const Program prog = model.instantiate(nearby_points(model, 1, 21u)[0]);
+  auto cache = std::make_shared<serve::BlockCache>(1024);
+  ExecutorOptions noisy_opts;
+  noisy_opts.coherent_noise = false;
+  noisy_opts.num_threads = 1;
+  noisy_opts.block_cache = cache;
+  Executor noisy(toronto(), noisy_opts);
+  noisy.bind(prog, 14);
+
+  ExecutorOptions opts;
+  opts.noise = false;
+  opts.fusion_max_qubits = 0;
+  opts.num_threads = 1;
+  ExecutorOptions shared_opts = opts;
+  shared_opts.block_cache = cache;
+  Executor noiseless(toronto(), shared_opts);
+  Executor fresh(toronto(), opts);
+  Rng r1(4), r2(4);
+  EXPECT_TRUE(same_bits(noiseless.run_expectation(prog, 1, r1, cut_spec()),
+                        fresh.run_expectation(prog, 1, r2, cut_spec())));
+  EXPECT_EQ(cache->stats().template_misses, 2u);
+  EXPECT_EQ(cache->stats().templates, 2u);
+}
+
 TEST(CompiledTemplate, OnlyChangedSlotsAreRelowered) {
   auto cache = std::make_shared<serve::BlockCache>(256);
   ExecutorOptions opts;
