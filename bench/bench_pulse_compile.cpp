@@ -12,6 +12,11 @@
 // full compile of every op, with every block already in the cache, and
 // checks the two lowerings agree bit for bit.
 //
+// The instantiate case times the schedule rebuild of 50 warm pulse-level
+// task-1 evaluations (every physical pulse free, each evaluation moving one
+// parameter): QaoaModel::instantiate alone, reported in us per evaluation
+// and not gated (absolute time).
+//
 // When HGP_BLOCK_STORE names a file, it also measures the cross-process
 // persistent-store path: a fresh cache warm-starts from the store another
 // invocation wrote (zero pulse-ODE compilations for the same calibration)
@@ -176,6 +181,21 @@ int main(int argc, char** argv) {
                          same_program(bound[i].program, full[i]);
   identical = identical && template_identical;
 
+  // Pulse-level instantiate: rebuild every free pulse schedule per
+  // evaluation, one parameter moved each time, as a coordinate step does.
+  constexpr int kInstantiateEvals = 50;
+  const core::QaoaModel pulse_model =
+      core::QaoaModel::build(inst.graph, dev, core::ModelKind::PulseLevel, mcfg);
+  std::vector<double> px = pulse_model.initial_parameters();
+  std::size_t instantiated_ops = pulse_model.instantiate(px).ops.size();  // warm-up
+  const auto t_inst = std::chrono::steady_clock::now();
+  for (int i = 0; i < kInstantiateEvals; ++i) {
+    double& v = px[(37 * static_cast<std::size_t>(i)) % px.size()];
+    v = std::clamp(v + 0.01, -1.0, 1.0);
+    instantiated_ops += pulse_model.instantiate(px).ops.size();
+  }
+  const double instantiate_s = seconds_since(t_inst) / kInstantiateEvals;
+
   // CompiledSchedule reuse at the simulator layer: lower a mixer-style
   // schedule (frame knobs around a 320dt Gaussian, as QaoaModel emits) once
   // and reuse the IR vs. re-lowering per evolve.
@@ -219,6 +239,8 @@ int main(int argc, char** argv) {
   std::printf("template bind: %.1f us/eval vs %.1f us full compile (%.1fx), "
               "bit-identical %s\n",
               1e6 * bound_s, 1e6 * full_s, template_speedup, template_identical ? "yes" : "NO");
+  std::printf("pulse-level instantiate: %.1f us/eval (%zu params, %zu ops built)\n",
+              1e6 * instantiate_s, px.size(), instantiated_ops);
   if (store_enabled) {
     std::printf("persistent store (%s): %s start, %.4f s (%.1fx vs cold), "
                 "%llu loaded, store hits %llu / misses %llu (rate %.1f%%), "
@@ -248,6 +270,9 @@ int main(int argc, char** argv) {
        << "  \"template\": {\"evals\": " << kTemplateEvals << ", \"bound_s\": " << bound_s
        << ", \"full_s\": " << full_s
        << ", \"bit_identical\": " << (template_identical ? "true" : "false") << "},\n"
+       << "  \"instantiate\": {\"evals\": " << kInstantiateEvals
+       << ", \"params\": " << px.size() << ", \"us_per_eval\": " << 1e6 * instantiate_s
+       << "},\n"
        << "  \"bit_identical\": " << (identical ? "true" : "false") << ",\n"
        << "  \"cache\": {\"pulse_hits\": " << cache_stats.pulse_hits
        << ", \"pulse_misses\": " << cache_stats.pulse_misses

@@ -233,6 +233,10 @@ Program QaoaModel::instantiate(const std::vector<double>& theta) const {
   }
 
   Program prog;
+  std::size_t num_ops = 0;
+  for (const GateSegment& seg : segments_)
+    num_ops += seg.circuit.ops().size() + (kind_ == ModelKind::GateLevel ? 0 : 1 + n);
+  prog.ops.reserve(num_ops);
   cursor = 0;
   const pulse::CalibrationSet& cal = dev_->calibrations();
 

@@ -52,13 +52,6 @@ bool CalibrationSet::has_cr(std::size_t control, std::size_t target) const {
   return cr_cal_.count({control, target}) > 0;
 }
 
-std::vector<std::size_t> CalibrationSet::control_channels_targeting(std::size_t q) const {
-  std::vector<std::size_t> out;
-  for (const auto& [pair, u] : cr_channel_)
-    if (pair.second == q) out.push_back(u);
-  return out;
-}
-
 double CalibrationSet::sx_amp(std::size_t q) const {
   const Calibrated<QubitCalibration>& e = qubit_entry(q);
   // angle = 2π * rate * amp * area  ->  amp for a π/2 rotation.
@@ -75,8 +68,10 @@ double CalibrationSet::cr_amp(std::size_t control, std::size_t target, double th
 Schedule CalibrationSet::rz(std::size_t q, double angle) const {
   Schedule s("rz");
   s.append(ShiftPhase{-angle, Channel::drive(q)});
-  for (std::size_t u : control_channels_targeting(q))
-    s.append(ShiftPhase{-angle, Channel::control(u)});
+  // The CR drive of every pair targeting q lives in q's frame; the map
+  // walks the pairs in (control, target) order.
+  for (const auto& [pair, u] : cr_channel_)
+    if (pair.second == q) s.append(ShiftPhase{-angle, Channel::control(u)});
   return s;
 }
 

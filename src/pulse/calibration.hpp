@@ -46,8 +46,6 @@ class CalibrationSet {
   const CrCalibration& cr(std::size_t control, std::size_t target) const;
   std::size_t control_channel(std::size_t control, std::size_t target) const;
   bool has_cr(std::size_t control, std::size_t target) const;
-  /// Control channels whose CR target is q (these follow q's frame).
-  std::vector<std::size_t> control_channels_targeting(std::size_t q) const;
 
   /// Analytic SX amplitude for qubit q (rotation π/2).
   double sx_amp(std::size_t q) const;

@@ -102,12 +102,24 @@ Schedule& Schedule::insert(int t0, Instruction inst) {
   const int end = t0 + instruction_duration(inst);
   auto& channel_end = channel_end_[c];
   channel_end = std::max(channel_end, end);
-  instructions_.push_back(TimedInstruction{t0, std::move(inst)});
-  keep_sorted();
+  // Stored order is by start time, ties in insertion order: the instruction
+  // goes after every one that starts at or before t0. An append at the end
+  // of the timeline moves nothing.
+  const auto pos = std::upper_bound(
+      instructions_.begin(), instructions_.end(), t0,
+      [](int t, const TimedInstruction& ti) { return t < ti.t0; });
+  instructions_.insert(pos, TimedInstruction{t0, std::move(inst)});
   return *this;
 }
 
 Schedule& Schedule::insert(int t0, const Schedule& other) {
+  if (&other == this) {
+    const Schedule copy = other;  // inserting grows the vector being read
+    return insert(t0, copy);
+  }
+  const std::size_t need = instructions_.size() + other.instructions_.size();
+  if (need > instructions_.capacity())
+    instructions_.reserve(std::max(need, 2 * instructions_.capacity()));
   for (const TimedInstruction& ti : other.instructions_) insert(t0 + ti.t0, ti.inst);
   return *this;
 }
@@ -211,11 +223,6 @@ bool Schedule::operator==(const Schedule& o) const {
     if (!same) return false;
   }
   return true;
-}
-
-void Schedule::keep_sorted() {
-  std::stable_sort(instructions_.begin(), instructions_.end(),
-                   [](const TimedInstruction& a, const TimedInstruction& b) { return a.t0 < b.t0; });
 }
 
 std::string Schedule::draw() const {

@@ -75,6 +75,7 @@ class Schedule {
 
   bool empty() const { return instructions_.empty(); }
   std::size_t size() const { return instructions_.size(); }
+  /// Instructions by start time; equal start times keep insertion order.
   const std::vector<TimedInstruction>& instructions() const { return instructions_; }
 
   /// Total duration (max channel end time), in dt samples.
@@ -125,8 +126,6 @@ class Schedule {
   std::string draw() const;
 
  private:
-  void keep_sorted();
-
   std::string name_;
   std::vector<TimedInstruction> instructions_;
   std::map<Channel, int> channel_end_;

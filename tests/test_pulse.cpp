@@ -1,7 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <random>
+#include <string>
+#include <vector>
 
+#include "backend/presets.hpp"
 #include "common/error.hpp"
 #include "pulse/calibration.hpp"
 #include "pulse/schedule.hpp"
@@ -159,6 +165,37 @@ TEST(Calibration, RzIsVirtual) {
   EXPECT_NEAR(pulse::CalibrationSet::drive_phase_shift(rz, 0), -1.23, 1e-12);
 }
 
+TEST(Calibration, RzShiftsDriveThenEveryTargetingControlChannel) {
+  const backend::FakeBackend dev = backend::make_toronto();
+  const pulse::CalibrationSet& cal = dev.calibrations();
+  for (std::size_t q = 0; q < dev.num_qubits(); ++q) {
+    // Reference: every directed coupled pair (c, q), in (control, target)
+    // order, mapped to its control channel.
+    std::vector<std::size_t> controls;
+    for (const auto& [a, b] : dev.coupling().edges()) {
+      if (b == q) controls.push_back(a);
+      if (a == q) controls.push_back(b);
+    }
+    std::sort(controls.begin(), controls.end());
+    std::vector<Channel> expected{Channel::drive(q)};
+    for (std::size_t c : controls) expected.push_back(Channel::control(cal.control_channel(c, q)));
+
+    const double a = 0.375 + 0.01 * static_cast<double>(q);
+    const Schedule rz = cal.rz(q, a);
+    ASSERT_EQ(rz.size(), expected.size()) << "qubit " << q;
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      const pulse::TimedInstruction& ti = rz.instructions()[i];
+      const auto* sp = std::get_if<pulse::ShiftPhase>(&ti.inst);
+      ASSERT_NE(sp, nullptr) << "qubit " << q << " instruction " << i;
+      EXPECT_EQ(ti.t0, 0);
+      EXPECT_EQ(sp->phase, -a);
+      EXPECT_TRUE(sp->channel == expected[i]) << "qubit " << q << " instruction " << i << ": "
+                                              << sp->channel.str() << " vs "
+                                              << expected[i].str();
+    }
+  }
+}
+
 TEST(Calibration, EcrAmpScalesWithAngle) {
   const auto cal = two_qubit_cal();
   const double a1 = cal.cr_amp(0, 1, la::kPi / 2);
@@ -287,4 +324,219 @@ TEST(ScheduleFingerprint, TimingAndShapeKindDiscriminate) {
   Schedule drag;
   drag.append(pulse::Play{PulseShape::drag(64, 0.1, 16.0, 0.0), Channel::drive(0)});
   EXPECT_NE(gauss.fingerprint(), drag.fingerprint());
+}
+
+// ---- Schedule construction against a sort-on-every-insert reference -------
+
+namespace {
+
+/// One instruction as text: start time, kind, channel, duration and exact
+/// parameters, so two stored orders compare element by element.
+std::string render(const pulse::TimedInstruction& ti) {
+  std::string out = std::to_string(ti.t0) + ":" + std::to_string(ti.inst.index()) + ":" +
+                    pulse::instruction_channel(ti.inst).str() + ":" +
+                    std::to_string(pulse::instruction_duration(ti.inst)) + ":";
+  std::visit(
+      [&out](const auto& i) {
+        using T = std::decay_t<decltype(i)>;
+        char buf[48] = "";
+        if constexpr (std::is_same_v<T, pulse::Play>)
+          out += i.shape.key_str();
+        else if constexpr (std::is_same_v<T, pulse::ShiftPhase> ||
+                           std::is_same_v<T, pulse::SetPhase>)
+          std::snprintf(buf, sizeof buf, "%a", i.phase);
+        else if constexpr (std::is_same_v<T, pulse::ShiftFrequency> ||
+                           std::is_same_v<T, pulse::SetFrequency>)
+          std::snprintf(buf, sizeof buf, "%a", i.freq_ghz);
+        out += buf;
+      },
+      ti.inst);
+  return out;
+}
+
+/// The stored order Schedule promises, computed the slow way: append, then
+/// stable-sort the whole list by start time after every insert.
+struct RefSchedule {
+  std::vector<pulse::TimedInstruction> insts;
+
+  void insert(int t0, const pulse::Instruction& inst) {
+    insts.push_back({t0, inst});
+    std::stable_sort(insts.begin(), insts.end(),
+                     [](const pulse::TimedInstruction& a, const pulse::TimedInstruction& b) {
+                       return a.t0 < b.t0;
+                     });
+  }
+  void insert(int t0, RefSchedule other) {  // by value: self-insert is safe
+    for (const pulse::TimedInstruction& ti : other.insts) insert(t0 + ti.t0, ti.inst);
+  }
+  int channel_duration(const Channel& c) const {
+    int end = 0;
+    for (const pulse::TimedInstruction& ti : insts)
+      if (pulse::instruction_channel(ti.inst) == c)
+        end = std::max(end, ti.t0 + pulse::instruction_duration(ti.inst));
+    return end;
+  }
+  int duration() const {
+    int end = 0;
+    for (const pulse::TimedInstruction& ti : insts)
+      end = std::max(end, ti.t0 + pulse::instruction_duration(ti.inst));
+    return end;
+  }
+  void append(const pulse::Instruction& inst) {
+    insert(channel_duration(pulse::instruction_channel(inst)), inst);
+  }
+  void append_sequential(const RefSchedule& other) { insert(duration(), other); }
+  void append_aligned(const RefSchedule& other) {
+    int t0 = 0;
+    for (const pulse::TimedInstruction& ti : other.insts)
+      t0 = std::max(t0, channel_duration(pulse::instruction_channel(ti.inst)));
+    insert(t0, other);
+  }
+  void left_align() {
+    if (insts.empty()) return;
+    int min_t0 = insts.front().t0;
+    for (const pulse::TimedInstruction& ti : insts) min_t0 = std::min(min_t0, ti.t0);
+    for (pulse::TimedInstruction& ti : insts) ti.t0 -= min_t0;
+  }
+};
+
+const std::vector<Channel>& property_channels() {
+  static const std::vector<Channel> channels{Channel::drive(0), Channel::drive(1),
+                                             Channel::control(0), Channel::measure(0),
+                                             Channel::acquire(0)};
+  return channels;
+}
+
+/// A random instruction with a parameter no other draw shares, on one of a
+/// few channels, with durations on a coarse grid so start times tie often.
+pulse::Instruction random_instruction(std::mt19937& gen, int& tag) {
+  const double x = 0.001 * ++tag;
+  std::uniform_int_distribution<int> kind(0, 6), ch(0, 3), dur(0, 2);
+  const Channel c = property_channels()[static_cast<std::size_t>(ch(gen))];
+  const int d = 16 * (1 + dur(gen));
+  switch (kind(gen)) {
+    case 0: return pulse::Play{PulseShape::constant(d, x), c};
+    case 1: return pulse::Delay{d + tag, c};
+    case 2: return pulse::ShiftPhase{x, c};
+    case 3: return pulse::SetPhase{x, c};
+    case 4: return pulse::ShiftFrequency{x, c};
+    case 5: return pulse::SetFrequency{x, c};
+    default: return pulse::Acquire{d, 0};
+  }
+}
+
+/// Checks `s` against `ref`: stored order, start times, channel and total
+/// durations, and that a schedule rebuilt from the reference order compares
+/// and fingerprints equal.
+void expect_matches(const Schedule& s, const RefSchedule& ref, const std::string& where) {
+  ASSERT_EQ(s.size(), ref.insts.size()) << where;
+  for (std::size_t i = 0; i < ref.insts.size(); ++i)
+    ASSERT_EQ(render(s.instructions()[i]), render(ref.insts[i])) << where << " at " << i;
+  for (const Channel& c : property_channels())
+    EXPECT_EQ(s.channel_duration(c), ref.channel_duration(c)) << where << " " << c.str();
+  EXPECT_EQ(s.duration(), ref.duration()) << where;
+  Schedule rebuilt;
+  for (const pulse::TimedInstruction& ti : ref.insts) rebuilt.insert(ti.t0, ti.inst);
+  EXPECT_TRUE(s == rebuilt) << where;
+  EXPECT_EQ(s.fingerprint(), rebuilt.fingerprint()) << where;
+}
+
+}  // namespace
+
+TEST(ScheduleProperty, MatchesSortOnEveryInsertReference) {
+  for (unsigned seed = 0; seed < 200; ++seed) {
+    std::mt19937 gen(seed);
+    int tag = 0;
+    std::uniform_int_distribution<int> op(0, 7), start(0, 6), len(0, 5);
+    // A small random schedule built by out-of-order inserts, with its twin.
+    auto random_pair = [&](Schedule& s, RefSchedule& ref) {
+      for (int k = len(gen); k > 0; --k) {
+        const int t0 = 8 * start(gen);
+        const pulse::Instruction inst = random_instruction(gen, tag);
+        s.insert(t0, inst);
+        ref.insert(t0, inst);
+      }
+    };
+
+    Schedule s;
+    RefSchedule ref;
+    for (int step = 0; step < 40; ++step) {
+      const std::string where = "seed " + std::to_string(seed) + " step " + std::to_string(step);
+      Schedule other;
+      RefSchedule other_ref;
+      random_pair(other, other_ref);
+      switch (op(gen)) {
+        case 0: {
+          const int t0 = 8 * start(gen);
+          const pulse::Instruction inst = random_instruction(gen, tag);
+          s.insert(t0, inst);
+          ref.insert(t0, inst);
+          break;
+        }
+        case 1: {
+          const pulse::Instruction inst = random_instruction(gen, tag);
+          s.append(inst);
+          ref.append(inst);
+          break;
+        }
+        case 2: {
+          const int t0 = 8 * start(gen);
+          s.insert(t0, other);
+          ref.insert(t0, other_ref);
+          break;
+        }
+        case 3:
+          s.append_aligned(other);
+          ref.append_aligned(other_ref);
+          break;
+        case 4:
+          s.append_sequential(other);
+          ref.append_sequential(other_ref);
+          break;
+        case 5:
+          other.left_align();
+          other_ref.left_align();
+          expect_matches(other, other_ref, where + " (left-aligned operand)");
+          s.append_aligned(other);
+          ref.append_aligned(other_ref);
+          break;
+        case 6:
+          s.left_align();
+          ref.left_align();
+          break;
+        default:  // self-insert, kept small: the schedule doubles
+          if (s.size() < 32) {
+            const int t0 = 8 * start(gen);
+            s.insert(t0, s);
+            ref.insert(t0, ref);
+          }
+          break;
+      }
+      expect_matches(s, ref, where);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
+}
+
+TEST(Schedule, SelfInsertEqualsInsertingACopy) {
+  Schedule s;
+  s.append(pulse::ShiftPhase{0.25, Channel::drive(0)});
+  s.append(pulse::Play{PulseShape::gaussian(64, 0.1, 16.0), Channel::drive(0)});
+  s.insert(16, pulse::Play{PulseShape::constant(32, 0.2), Channel::control(1)});
+  s.append(pulse::ShiftFrequency{0.01, Channel::control(1)});
+  for (int round = 0; round < 3; ++round) {
+    Schedule expected = s;
+    const Schedule copy = s;
+    if (round == 1) {  // lands among the existing instructions, not after them
+      expected.insert(16, copy);
+      s.insert(16, s);
+    } else {
+      expected.append_sequential(copy);
+      s.append_sequential(s);
+    }
+    EXPECT_TRUE(s == expected) << "round " << round;
+    EXPECT_EQ(s.fingerprint(), expected.fingerprint());
+    EXPECT_EQ(s.duration(), expected.duration());
+  }
+  EXPECT_EQ(s.size(), 4u * 8u);
 }

@@ -12,8 +12,8 @@ against the committed baselines in bench/baselines/ and fails (exit 1) if:
   * a tracked speedup falls below its tolerance-scaled floor,
     current < baseline * (1 - tol), or
   * a tracked overhead ratio rises above its tolerance-scaled ceiling,
-    current > baseline * (1 + tol), where a FIELD_TOL entry may tighten tol
-    for one field. Only dimensionless ratios are gated -- absolute seconds
+    current > baseline * (1 + tol);
+    in both, a FIELD_TOL entry may tighten tol for one field. Only dimensionless ratios are gated -- absolute seconds
     vary with the host, ratios mostly do not.
 
 A markdown delta table goes to stdout and, when $GITHUB_STEP_SUMMARY is set,
@@ -55,8 +55,14 @@ OVERHEAD_FIELDS = {
 }
 # Per-field tolerances tighter than --tol, for ratios measured precisely
 # enough to gate closer (the effective tolerance is the smaller of the two).
+# Each is the worst drop seen over repeated runs -- below the baseline, or
+# below the field's own median -- plus 5 points, rounded up to 5%.
+# BENCH_pulse ir_speedup has none: one run in 36 read 53% below its
+# baseline, past the global tolerance already.
 FIELD_TOL = {
     ("BENCH_obs.json", "overhead_ratio"): 0.15,
+    ("BENCH_pulse.json", "speedup"): 0.30,
+    ("BENCH_pulse.json", "template_speedup"): 0.45,
 }
 BENCH_FILES = sorted(set(SPEEDUP_FIELDS) | set(OVERHEAD_FIELDS))
 
@@ -129,7 +135,8 @@ def check_baselines(baseline_dir, current_dir, tol):
             if not isinstance(cur, (int, float)):
                 failures.append(f"{name}: current lacks numeric '{field}'")
                 continue
-            floor = base * (1.0 - tol)
+            field_tol = min(tol, FIELD_TOL.get((name, field), tol))
+            floor = base * (1.0 - field_tol)
             delta = (cur - base) / base * 100.0 if base else 0.0
             status = "ok" if cur >= floor else "FAIL"
             rows.append((name, field, f"{base:.2f}x", f"{cur:.2f}x",
@@ -137,7 +144,7 @@ def check_baselines(baseline_dir, current_dir, tol):
             if cur < floor:
                 failures.append(
                     f"{name}: {field} {cur:.2f}x fell below the floor "
-                    f"{floor:.2f}x (baseline {base:.2f}x, tol {tol:.0%})")
+                    f"{floor:.2f}x (baseline {base:.2f}x, tol {field_tol:.0%})")
 
         for field in OVERHEAD_FIELDS.get(name, []):
             base = baseline.get(field)
