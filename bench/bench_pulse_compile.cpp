@@ -3,8 +3,9 @@
 // (empty cache — every gate and pulse block runs the pulse-ODE simulator)
 // and warm (every block served from the shared serve::BlockCache), plus a
 // simulator-level measurement of CompiledSchedule reuse (compile-once IR vs.
-// re-lowering the schedule per call). Verifies counts are bit-identical
-// cache-on vs. cache-off and emits BENCH_pulse.json.
+// re-lowering the schedule per call; each side the best of 7 timed loops).
+// Verifies counts are bit-identical cache-on vs. cache-off and emits
+// BENCH_pulse.json.
 //
 // The template case times the lowering of 50 warm noiseless evaluations of
 // the same model at nearby parameter vectors: bound against the compiled
@@ -31,6 +32,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <random>
 #include <string>
@@ -213,16 +215,22 @@ int main(int argc, char** argv) {
   const psim::PulseSimulator sim(std::move(sub.system));
   la::CVec psi0(2, la::cxd{0.0, 0.0});
   psi0[0] = 1.0;
-  constexpr int kEvolves = 50;
-
-  const auto t_percall = std::chrono::steady_clock::now();
-  for (int i = 0; i < kEvolves; ++i) sim.evolve(local, psi0);
-  const double percall_s = seconds_since(t_percall) / kEvolves;
-
+  // Each side is the best of kLoops timed loops of kEvolves evolves. One
+  // reused loop takes under a millisecond, so a single scheduler stall could
+  // halve a lone mean; it now costs at most the loop it lands in.
+  constexpr int kEvolves = 50, kLoops = 7;
+  auto best_per_evolve = [&](auto&& evolve) {
+    double best = std::numeric_limits<double>::infinity();
+    for (int r = 0; r < kLoops; ++r) {
+      const auto t0 = std::chrono::steady_clock::now();
+      for (int i = 0; i < kEvolves; ++i) evolve();
+      best = std::min(best, seconds_since(t0) / kEvolves);
+    }
+    return best;
+  };
+  const double percall_s = best_per_evolve([&] { sim.evolve(local, psi0); });
   const psim::CompiledSchedule cs = sim.compile(local);
-  const auto t_reuse = std::chrono::steady_clock::now();
-  for (int i = 0; i < kEvolves; ++i) sim.evolve(cs, psi0);
-  const double reuse_s = seconds_since(t_reuse) / kEvolves;
+  const double reuse_s = best_per_evolve([&] { sim.evolve(cs, psi0); });
   const double ir_speedup = reuse_s > 0.0 ? percall_s / reuse_s : 0.0;
 
   std::printf("cold compile  %.4f s\nwarm compile  %.4f s  (%.1fx)\n", cold_s, warm_s,

@@ -8,6 +8,7 @@
 
 #include "backend/presets.hpp"
 #include "bench_util.hpp"
+#include "common/lane_streams.hpp"
 #include "common/rng.hpp"
 #include "core/executor.hpp"
 #include "core/fusion.hpp"
@@ -260,6 +261,84 @@ BENCHMARK(BM_Lanes2qDenseScalar)->Args({12, 16});
 // 6q x 16 lanes is the paper's task 1 with the state L1-resident; 13q x 13
 // lanes (paper task 3) has a 5-lane tail after one full 8-lane tile.
 BENCHMARK(BM_Lanes2qDenseBatched)->Args({12, 16})->Args({6, 16})->Args({13, 13});
+
+// ---- trajectory walker bookkeeping -----------------------------------------
+//
+// The per-step work of the walker around the gate kernels, at the paper's
+// task-1 size. KernelLaneDraws is one relaxation step's draws over a block
+// of streams: a bulk uniform pass, then a dephasing Bernoulli pass — masked
+// for a 16-slot pool with 12 active slots, unmasked for 256 unbranched
+// shots. KernelLaneDrawsScalar makes the same draws one Rng at a time (the
+// per-shot loop the bulk passes replace). items/sec counts stream draws.
+// KernelJumpAndScale is the pool's relaxation branch on 6q x 16 lanes with
+// one lane jumping.
+
+static std::vector<std::uint8_t> active_slots(std::size_t n, bool masked) {
+  std::vector<std::uint8_t> mask(n, 1);
+  if (masked)
+    for (std::size_t i = 3; i < n; i += 4) mask[i] = 0;
+  return mask;
+}
+
+static void BM_KernelLaneDraws(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const bool masked = state.range(1) != 0;
+  LaneStreams streams;
+  streams.resize(n);
+  for (std::size_t i = 0; i < n; ++i) streams.set(i, Rng::child(7, i));
+  const std::vector<std::uint8_t> mask = active_slots(n, masked);
+  const std::uint8_t* m = masked ? mask.data() : nullptr;
+  std::vector<double> u(n);
+  std::vector<std::uint8_t> flip(n);
+  for (auto _ : state) {
+    streams.uniform(n, m, u.data());
+    streams.bernoulli(n, 0.01, m, flip.data());
+    benchmark::DoNotOptimize(u.data());
+    benchmark::DoNotOptimize(flip.data());
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_KernelLaneDraws)->Args({16, 1})->Args({256, 0});
+
+static void BM_KernelLaneDrawsScalar(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const bool masked = state.range(1) != 0;
+  std::vector<Rng> streams;
+  for (std::size_t i = 0; i < n; ++i) streams.push_back(Rng::child(7, i));
+  const std::vector<std::uint8_t> mask = active_slots(n, masked);
+  std::vector<double> u(n);
+  std::vector<std::uint8_t> flip(n);
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < n; ++i)
+      if (mask[i]) u[i] = streams[i].uniform();
+    for (std::size_t i = 0; i < n; ++i) flip[i] = mask[i] && streams[i].bernoulli(0.01);
+    benchmark::DoNotOptimize(u.data());
+    benchmark::DoNotOptimize(flip.data());
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_KernelLaneDrawsScalar)->Args({16, 1})->Args({256, 0});
+
+static void BM_KernelJumpAndScale(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const auto lanes = static_cast<std::size_t>(state.range(1));
+  sim::BatchedStatevector bsv(n, lanes);
+  const la::CMat sx = qc::gate_matrix(qc::GateKind::SX);
+  for (std::size_t q = 0; q < n; ++q) bsv.apply_matrix(sx, {q});
+  // Lane 0 jumps; the others take a sign-flip scale of magnitude 1, so
+  // repeated iterations keep the amplitudes away from subnormals.
+  std::vector<std::uint8_t> jump(lanes, 0);
+  jump[0] = 1;
+  std::vector<double> scale1(lanes);
+  for (std::size_t l = 0; l < lanes; ++l) scale1[l] = l % 2 ? -1.0 : 1.0;
+  for (auto _ : state) {
+    bsv.jump_and_scale(1, jump.data(), scale1.data());
+    benchmark::DoNotOptimize(&bsv);
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(lanes));
+  state.SetLabel(std::to_string(n) + "q x" + std::to_string(lanes) + " lanes");
+}
+BENCHMARK(BM_KernelJumpAndScale)->Args({6, 16});
 
 // ---- candidate-lane kernels: each lane carries its own parameters ----------
 //

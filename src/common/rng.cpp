@@ -14,8 +14,6 @@ std::uint64_t splitmix64(std::uint64_t& x) {
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
   return z ^ (z >> 31);
 }
-
-std::uint64_t rotl(std::uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
 }  // namespace
 
 Rng::Rng(std::uint64_t seed) {
@@ -29,23 +27,6 @@ Rng Rng::child(std::uint64_t base, std::uint64_t stream) {
   // the combined seed into a decorrelated xoshiro state.
   std::uint64_t x = base ^ (0x9e3779b97f4a7c15ull * (stream + 1));
   return Rng(splitmix64(x));
-}
-
-std::uint64_t Rng::next_u64() {
-  const std::uint64_t result = rotl(s_[0] + s_[3], 23) + s_[0];
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
-}
-
-double Rng::uniform() {
-  // 53 random bits mapped into [0, 1).
-  return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
 }
 
 double Rng::uniform(double lo, double hi) { return lo + (hi - lo) * uniform(); }
@@ -65,12 +46,6 @@ double Rng::normal(double mean, double stddev) {
   cached_normal_ = r * std::sin(theta);
   have_cached_normal_ = true;
   return mean + stddev * r * std::cos(theta);
-}
-
-bool Rng::bernoulli(double p) {
-  if (p <= 0.0) return false;
-  if (p >= 1.0) return true;
-  return uniform() < p;
 }
 
 int Rng::uniform_int(int lo, int hi) {

@@ -14,6 +14,7 @@
 #include <thread>
 
 #include "common/error.hpp"
+#include "common/lane_streams.hpp"
 #include "core/fusion.hpp"
 #include "mitigation/cvar.hpp"
 #include "noise/channels.hpp"
@@ -303,18 +304,19 @@ class BatchWalker {
         pool(num_qubits, lanes),
         active(lanes, 0),
         slot_shot(lanes, 0),
-        slot_rng(lanes),
         weight(lanes, 1.0),
         walk_(walk),
         lanes_(lanes),
         x_(lanes),
         m1_(lanes),
-        take_(lanes),
         scale1_(lanes),
         precheck_(lanes),
         flip_(lanes),
+        jump_(lanes),
         codes_(lanes),
-        picks_(lanes) {}
+        picks_(lanes) {
+    slot_rng.resize(lanes);
+  }
 
   std::size_t lanes() const { return lanes_; }
 
@@ -330,10 +332,10 @@ class BatchWalker {
     trunk.reset();
     trunk_weight = 1.0;
     free_shot.clear();
-    free_rng.clear();
+    free_rng.resize(count);
     for (std::size_t s = 0; s < count; ++s) {
       free_shot.push_back(s);
-      free_rng.push_back(Rng::child(base, first + s));
+      free_rng.set(s, Rng::child(base, first + s));
     }
     fx_.resize(count);
     fpick_.resize(count);
@@ -376,11 +378,11 @@ class BatchWalker {
   double trunk_weight = 1.0;
   /// Batch positions (ascending) and streams of the shots still on the trunk.
   std::vector<std::size_t> free_shot;
-  std::vector<Rng> free_rng;
+  LaneStreams free_rng;
   sim::BatchedStatevector pool;
   std::vector<std::uint8_t> active;
   std::vector<std::size_t> slot_shot;
-  std::vector<Rng> slot_rng;
+  LaneStreams slot_rng;
   /// Squared norms of the (deferred-normalization) slot states.
   std::vector<double> weight;
 
@@ -421,7 +423,7 @@ class BatchWalker {
         while (active[slot]) ++slot;
         pool.copy_lane_from(trunk, 0, slot);
         weight[slot] = trunk_weight;
-        slot_rng[slot] = free_rng[i];
+        slot_rng.copy(slot, free_rng, i);
         slot_shot[slot] = free_shot[i];
         active[slot] = 1;
         take(i, slot);
@@ -429,7 +431,7 @@ class BatchWalker {
         continue;
       }
       free_shot[kept] = free_shot[i];
-      free_rng[kept] = free_rng[i];
+      free_rng.copy(kept, free_rng, i);
       if (overflow) {
         fx_[kept] = fx_[i];
         fpick_[kept] = fpick_[i];
@@ -440,7 +442,7 @@ class BatchWalker {
       ++kept;
     }
     free_shot.resize(kept);
-    free_rng.erase(free_rng.begin() + static_cast<std::ptrdiff_t>(kept), free_rng.end());
+    free_rng.resize(kept);
     n_active_ += placed;
     if (overflow) {
       frozen_ = true;
@@ -456,33 +458,38 @@ class BatchWalker {
 
   void relax(const noise::RelaxationConstants& rc, std::size_t lq, std::size_t k) {
     const bool damping = rc.gamma > 0.0;
-    // Draw phase (scalar per-shot order): one uniform for the damping branch
-    // when gamma > 0, then one bernoulli for dephasing. The jump shortcut is
-    // the scalar one — u >= gamma * weight settles "no jump" without the
-    // mass; only shots inside the window need m1 before deciding.
-    for (std::size_t l = 0; l < lanes_; ++l) {
-      precheck_[l] = 0;
-      flip_[l] = 0;
-      if (!active[l]) continue;
-      if (damping) {
-        x_[l] = slot_rng[l].uniform() * weight[l];
-        precheck_[l] = x_[l] < rc.gamma * weight[l];
+    // Draw phase: every stream makes the scalar per-shot draws of this step —
+    // one uniform for the damping branch when gamma > 0, then one bernoulli
+    // for dephasing — in two bulk passes (all uniforms, then all dephasing
+    // draws). The jump shortcut is the scalar one: u >= gamma * weight
+    // settles "no jump" without the mass; only shots inside the window need
+    // m1 before deciding.
+    if (damping) {
+      slot_rng.uniform(lanes_, active.data(), x_.data());
+      for (std::size_t l = 0; l < lanes_; ++l) {
+        x_[l] *= weight[l];
+        precheck_[l] = active[l] && x_[l] < rc.gamma * weight[l];
       }
-      flip_[l] = rc.dephase && slot_rng[l].bernoulli(rc.p_z);
+    } else {
+      std::fill(precheck_.begin(), precheck_.end(), 0);
     }
+    draw_flips(rc, slot_rng, lanes_, active.data(), flip_.data());
     if (!frozen_) {
       if (k != redo_) {
+        const std::size_t nf = free_shot.size();
         const double w = trunk_weight;
         bool any_precheck = false;
-        for (std::size_t i = 0; i < free_shot.size(); ++i) {
-          fprecheck_[i] = 0;
-          if (damping) {
-            fx_[i] = free_rng[i].uniform() * w;
+        if (damping) {
+          free_rng.uniform(nf, nullptr, fx_.data());
+          for (std::size_t i = 0; i < nf; ++i) {
+            fx_[i] *= w;
             fprecheck_[i] = fx_[i] < rc.gamma * w;
             any_precheck |= fprecheck_[i] != 0;
           }
-          fflip_[i] = rc.dephase && free_rng[i].bernoulli(rc.p_z);
+        } else {
+          std::fill_n(fprecheck_.begin(), nf, 0);
         }
+        draw_flips(rc, free_rng, nf, nullptr, fflip_.data());
         double m1 = 0.0;
         if (any_precheck) trunk.masses_one(lq, &m1);
         for (std::size_t i = 0; i < free_shot.size(); ++i)
@@ -504,6 +511,16 @@ class BatchWalker {
       trunk.fused_mass_damp(lq, &scale, &m1);
       trunk_weight -= rc.gamma * m1;
     }
+  }
+
+  /// flip[i] = the dephasing draw of stream i (when rc.dephase; no draw and
+  /// no flip otherwise).
+  static void draw_flips(const noise::RelaxationConstants& rc, LaneStreams& streams,
+                         std::size_t n, const std::uint8_t* mask, std::uint8_t* flip) {
+    if (rc.dephase)
+      streams.bernoulli(n, rc.p_z, mask, flip);
+    else
+      std::fill_n(flip, n, 0);
   }
 
   /// The pool's relaxation step on its drawn x_ / precheck_ / flip_; empty
@@ -528,25 +545,22 @@ class BatchWalker {
       } else {
         pool.masses_one(lq, m1_.data());
         for (std::size_t l = 0; l < lanes_; ++l) {
-          if (precheck_[l] && x_[l] < rc.gamma * m1_[l]) {
-            take_[l] = 1.0;
-            scale1_[l] = 0.0;  // jump: |1> moves to |0> (flip acts on zeros)
+          jump_[l] = precheck_[l] && x_[l] < rc.gamma * m1_[l];
+          if (jump_[l]) {
+            scale1_[l] = flip_[l] ? -1.0 : 1.0;  // the flip acts on the zeroed |1>
             weight[l] = m1_[l];
             ++n_jumps_;
           } else {
-            take_[l] = 0.0;
             scale1_[l] = flip_[l] ? -rc.damp : rc.damp;
             if (active[l]) weight[l] -= rc.gamma * m1_[l];
           }
         }
-        pool.damp_or_jump(lq, take_.data(), scale1_.data());
+        pool.jump_and_scale(lq, jump_.data(), scale1_.data());
       }
     } else if (any_flip) {
-      for (std::size_t l = 0; l < lanes_; ++l) {
-        take_[l] = 0.0;
-        scale1_[l] = flip_[l] ? -1.0 : 1.0;
-      }
-      pool.damp_or_jump(lq, take_.data(), scale1_.data());
+      std::fill(jump_.begin(), jump_.end(), 0);
+      for (std::size_t l = 0; l < lanes_; ++l) scale1_[l] = flip_[l] ? -1.0 : 1.0;
+      pool.jump_and_scale(lq, jump_.data(), scale1_.data());
     }
   }
 
@@ -557,14 +571,12 @@ class BatchWalker {
   // identical to the per-shot path, so the grouping is purely a throughput
   // choice.
   void depolarize(const NoiseWalk::Step& st, double p, std::size_t k) {
-    for (std::size_t l = 0; l < lanes_; ++l)
-      picks_[l] = active[l] ? noise::sample_depolarizing(st.nq, p, slot_rng[l]) : 0;
+    noise::sample_depolarizing(st.nq, p, slot_rng, lanes_, active.data(), picks_.data());
     if (!frozen_) {
       if (k != redo_) {
-        for (std::size_t i = 0; i < free_shot.size(); ++i) {
-          fpick_[i] = noise::sample_depolarizing(st.nq, p, free_rng[i]);
-          branch_[i] = fpick_[i] != 0;
-        }
+        const std::size_t nf = free_shot.size();
+        noise::sample_depolarizing(st.nq, p, free_rng, nf, nullptr, fpick_.data());
+        for (std::size_t i = 0; i < nf; ++i) branch_[i] = fpick_[i] != 0;
       }
       const std::size_t n_branch = count_branches();
       if (n_branch != 0)
@@ -602,14 +614,12 @@ class BatchWalker {
   std::size_t resume_ = 0, redo_ = 0;
   std::uint64_t n_jumps_ = 0, n_flips_ = 0, n_pauli_ = 0;
   // Per-slot draws of the current step.
-  std::vector<double> x_, m1_, take_, scale1_;
-  std::vector<std::uint8_t> precheck_, flip_, codes_;
-  std::vector<int> picks_;
+  std::vector<double> x_, m1_, scale1_;
+  std::vector<std::uint8_t> precheck_, flip_, jump_, codes_, picks_;
   // Per-unbranched-shot draws and branch flags of the current step, kept
   // across a pool overflow for the resumed pass.
   std::vector<double> fx_;
-  std::vector<int> fpick_;
-  std::vector<std::uint8_t> fprecheck_, fflip_, branch_;
+  std::vector<std::uint8_t> fpick_, fprecheck_, fflip_, branch_;
 };
 
 /// Readout confusion on one sampled outcome: one bernoulli per measured bit
@@ -1257,29 +1267,33 @@ sim::Counts Executor::run_trajectories(const CompiledProgram& cp, std::size_t sh
     // pass; the never-branched shots share the trunk, so their draws are
     // sorted and emitted in one accumulate pass.
     BatchWalker walker(noise_walk, cp.touched.size(), std::min(lanes, count));
-    std::vector<double> x(walker.lanes());
+    std::vector<double> x(std::max(walker.lanes(), count));
     std::vector<std::uint64_t> bits(std::max(walker.lanes(), count));
     std::vector<std::pair<double, std::size_t>> draws;
-    auto emit = [&](std::uint64_t outcome, Rng& shot_rng) {
-      if (options_.readout_error) outcome = apply_readout_flips(outcome, cp, nm, shot_rng);
+    auto emit = [&](std::uint64_t outcome, const LaneStreams& streams, std::size_t i) {
+      if (options_.readout_error) {
+        Rng shot_rng = streams.get(i);
+        outcome = apply_readout_flips(outcome, cp, nm, shot_rng);
+      }
       ++out[map_bits(outcome, cp)];
     };
     auto pool_done = [&](BatchWalker& w) {
       obs::Span sample_span("executor.sample", &em.sample_ns);
-      for (std::size_t l = 0; l < w.lanes(); ++l)
-        if (w.active[l]) x[l] = w.slot_rng[l].uniform() * w.weight[l];
+      w.slot_rng.uniform(w.lanes(), w.active.data(), x.data());
+      for (std::size_t l = 0; l < w.lanes(); ++l) x[l] *= w.weight[l];
       w.pool.sample_lanes(x.data(), w.active.data(), bits.data());
       for (std::size_t l = 0; l < w.lanes(); ++l)
-        if (w.active[l]) emit(bits[l], w.slot_rng[l]);
+        if (w.active[l]) emit(bits[l], w.slot_rng, l);
     };
     auto trunk_done = [&](BatchWalker& w) {
       obs::Span sample_span("executor.sample", &em.sample_ns);
+      const std::size_t nf = w.free_shot.size();
+      w.free_rng.uniform(nf, nullptr, x.data());
       draws.clear();
-      for (std::size_t i = 0; i < w.free_shot.size(); ++i)
-        draws.emplace_back(w.free_rng[i].uniform() * w.trunk_weight, i);
+      for (std::size_t i = 0; i < nf; ++i) draws.emplace_back(x[i] * w.trunk_weight, i);
       std::sort(draws.begin(), draws.end());
       w.trunk.sample_sorted(0, draws.data(), draws.size(), bits.data());
-      for (std::size_t i = 0; i < w.free_shot.size(); ++i) emit(bits[i], w.free_rng[i]);
+      for (std::size_t i = 0; i < nf; ++i) emit(bits[i], w.free_rng, i);
     };
     const std::size_t passes = walker.walk(base, first, count, tok, pool_done, trunk_done);
     em.shots.inc(count);

@@ -16,6 +16,20 @@ int sample_depolarizing(std::size_t num_qubits, double p, Rng& rng) {
   return rng.uniform_int(1, options);
 }
 
+void sample_depolarizing(std::size_t num_qubits, double p, LaneStreams& streams, std::size_t n,
+                         const std::uint8_t* mask, std::uint8_t* picks) {
+  HGP_REQUIRE(p >= 0.0 && p <= 1.0, "sample_depolarizing: bad probability");
+  HGP_REQUIRE(num_qubits <= 3, "sample_depolarizing: codes of more than 3 qubits");
+  streams.bernoulli(n, p, mask, picks);
+  const int options = (1 << (2 * static_cast<int>(num_qubits))) - 1;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (!picks[i]) continue;
+    Rng rng = streams.get(i);
+    picks[i] = static_cast<std::uint8_t>(rng.uniform_int(1, options));
+    streams.set(i, rng);
+  }
+}
+
 RelaxationConstants relaxation_constants(double t1_us, double t2_us, double duration_ns) {
   HGP_REQUIRE(t1_us > 0.0 && t2_us > 0.0, "relaxation_constants: bad T1/T2");
   RelaxationConstants rc;

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/lane_streams.hpp"
 #include "common/rng.hpp"
 #include "linalg/types.hpp"
 #include "sim/statevector.hpp"
@@ -15,6 +16,15 @@ namespace hgp::noise {
 /// like traj_depolarizing, so per-lane engines that draw one branch per
 /// trajectory lane stay stream-compatible with the per-shot reference.
 int sample_depolarizing(std::size_t num_qubits, double p, Rng& rng);
+
+/// sample_depolarizing for the streams i < n of a lane-stream block with
+/// mask[i] != 0 (mask == nullptr: all): picks[i] is the code that stream's
+/// Rng would have returned, and each stream advances exactly as it would
+/// (0 for masked-off streams, which do not move). All Bernoulli draws go in
+/// one bulk pass; only the rare hits draw their Pauli, each from its own
+/// stream. Codes fit 8 bits: num_qubits <= 3.
+void sample_depolarizing(std::size_t num_qubits, double p, LaneStreams& streams, std::size_t n,
+                         const std::uint8_t* mask, std::uint8_t* picks);
 
 /// Derived constants of one thermal-relaxation application over duration_ns
 /// — the quantities every engine (scalar trajectory kernel, lane-batched

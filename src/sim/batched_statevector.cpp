@@ -303,7 +303,7 @@ void BatchedStatevector::apply_matrix(const CMat& u,
 void BatchedStatevector::apply_matrix_lane(const CMat& u, std::size_t q, std::size_t lane) {
   HGP_REQUIRE(u.rows() == 2 && u.cols() == 2, "apply_matrix_lane: expected a 2x2 operator");
   HGP_REQUIRE(q < num_qubits_ && lane < lanes_, "apply_matrix_lane: out of range");
-  apply_to_lanes(u, {q}, lane, lane + 1);
+  apply_1q_to_lanes(u, q, lane, lane + 1);
 }
 
 void BatchedStatevector::apply_matrix_one_lane(const CMat& u,
@@ -314,52 +314,28 @@ void BatchedStatevector::apply_matrix_one_lane(const CMat& u,
   apply_to_lanes(u, qubits, lane, lane + 1);
 }
 
-void BatchedStatevector::apply_to_lanes(const CMat& u, const std::vector<std::size_t>& qubits,
-                                        std::size_t lb, std::size_t le) {
-  const std::size_t k = qubits.size();
+void BatchedStatevector::apply_1q_to_lanes(const CMat& u, std::size_t q, std::size_t lb,
+                                           std::size_t le) {
   const std::size_t L = lanes_;
-  // Row i of the lanes [lb, le) starts at re[i * L] / im[i * L].
   double* re = re_.data() + lb;
   double* im = im_.data() + lb;
   const std::size_t n = le - lb;
-
-  if (k == 1) {
-    const std::uint64_t bit = std::uint64_t{1} << qubits[0];
-    const cxd u00 = u(0, 0), u01 = u(0, 1), u10 = u(1, 0), u11 = u(1, 1);
-    if (is_zero(u01) && is_zero(u10)) {
-      // Diagonal: pure per-amplitude phases, broadcast over lanes.
-      const double d0r = u00.real(), d0i = u00.imag();
-      const double d1r = u11.real(), d1i = u11.imag();
-      for_each_pair_base(dim_, bit, [&](std::uint64_t i) {
-        mul_row(re + i * L, im + i * L, n, d0r, d0i);
-        mul_row(re + (i | bit) * L, im + (i | bit) * L, n, d1r, d1i);
-      });
-      return;
-    }
-    if (is_zero(u00) && is_zero(u11)) {
-      // Anti-diagonal: paired swap with phases.
-      const double p01r = u01.real(), p01i = u01.imag();
-      const double p10r = u10.real(), p10i = u10.imag();
-      for_each_pair_base(dim_, bit, [&](std::uint64_t i) {
-        double* __restrict__ r0 = re + i * L;
-        double* __restrict__ m0 = im + i * L;
-        double* __restrict__ r1 = re + (i | bit) * L;
-        double* __restrict__ m1 = im + (i | bit) * L;
-        for (std::size_t l = 0; l < n; ++l) {
-          const double ar0 = r0[l], ai0 = m0[l];
-          const double ar1 = r1[l], ai1 = m1[l];
-          r0[l] = p01r * ar1 - p01i * ai1;
-          m0[l] = p01r * ai1 + p01i * ar1;
-          r1[l] = p10r * ar0 - p10i * ai0;
-          m1[l] = p10r * ai0 + p10i * ar0;
-        }
-      });
-      return;
-    }
-    const double u00r = u00.real(), u00i = u00.imag();
-    const double u01r = u01.real(), u01i = u01.imag();
-    const double u10r = u10.real(), u10i = u10.imag();
-    const double u11r = u11.real(), u11i = u11.imag();
+  const std::uint64_t bit = std::uint64_t{1} << q;
+  const cxd u00 = u(0, 0), u01 = u(0, 1), u10 = u(1, 0), u11 = u(1, 1);
+  if (is_zero(u01) && is_zero(u10)) {
+    // Diagonal: pure per-amplitude phases, broadcast over lanes.
+    const double d0r = u00.real(), d0i = u00.imag();
+    const double d1r = u11.real(), d1i = u11.imag();
+    for_each_pair_base(dim_, bit, [&](std::uint64_t i) {
+      mul_row(re + i * L, im + i * L, n, d0r, d0i);
+      mul_row(re + (i | bit) * L, im + (i | bit) * L, n, d1r, d1i);
+    });
+    return;
+  }
+  if (is_zero(u00) && is_zero(u11)) {
+    // Anti-diagonal: paired swap with phases.
+    const double p01r = u01.real(), p01i = u01.imag();
+    const double p10r = u10.real(), p10i = u10.imag();
     for_each_pair_base(dim_, bit, [&](std::uint64_t i) {
       double* __restrict__ r0 = re + i * L;
       double* __restrict__ m0 = im + i * L;
@@ -368,14 +344,46 @@ void BatchedStatevector::apply_to_lanes(const CMat& u, const std::vector<std::si
       for (std::size_t l = 0; l < n; ++l) {
         const double ar0 = r0[l], ai0 = m0[l];
         const double ar1 = r1[l], ai1 = m1[l];
-        r0[l] = (u00r * ar0 - u00i * ai0) + (u01r * ar1 - u01i * ai1);
-        m0[l] = (u00r * ai0 + u00i * ar0) + (u01r * ai1 + u01i * ar1);
-        r1[l] = (u10r * ar0 - u10i * ai0) + (u11r * ar1 - u11i * ai1);
-        m1[l] = (u10r * ai0 + u10i * ar0) + (u11r * ai1 + u11i * ar1);
+        r0[l] = p01r * ar1 - p01i * ai1;
+        m0[l] = p01r * ai1 + p01i * ar1;
+        r1[l] = p10r * ar0 - p10i * ai0;
+        m1[l] = p10r * ai0 + p10i * ar0;
       }
     });
     return;
   }
+  const double u00r = u00.real(), u00i = u00.imag();
+  const double u01r = u01.real(), u01i = u01.imag();
+  const double u10r = u10.real(), u10i = u10.imag();
+  const double u11r = u11.real(), u11i = u11.imag();
+  for_each_pair_base(dim_, bit, [&](std::uint64_t i) {
+    double* __restrict__ r0 = re + i * L;
+    double* __restrict__ m0 = im + i * L;
+    double* __restrict__ r1 = re + (i | bit) * L;
+    double* __restrict__ m1 = im + (i | bit) * L;
+    for (std::size_t l = 0; l < n; ++l) {
+      const double ar0 = r0[l], ai0 = m0[l];
+      const double ar1 = r1[l], ai1 = m1[l];
+      r0[l] = (u00r * ar0 - u00i * ai0) + (u01r * ar1 - u01i * ai1);
+      m0[l] = (u00r * ai0 + u00i * ar0) + (u01r * ai1 + u01i * ar1);
+      r1[l] = (u10r * ar0 - u10i * ai0) + (u11r * ar1 - u11i * ai1);
+      m1[l] = (u10r * ai0 + u10i * ar0) + (u11r * ai1 + u11i * ar1);
+    }
+  });
+}
+
+void BatchedStatevector::apply_to_lanes(const CMat& u, const std::vector<std::size_t>& qubits,
+                                        std::size_t lb, std::size_t le) {
+  const std::size_t k = qubits.size();
+  if (k == 1) {
+    apply_1q_to_lanes(u, qubits[0], lb, le);
+    return;
+  }
+  const std::size_t L = lanes_;
+  // Row i of the lanes [lb, le) starts at re[i * L] / im[i * L].
+  double* re = re_.data() + lb;
+  double* im = im_.data() + lb;
+  const std::size_t n = le - lb;
 
   if (k == 2) {
     std::uint64_t offset[4];
@@ -498,23 +506,31 @@ void BatchedStatevector::fused_mass_damp(std::size_t q, const double* scale1, do
   });
 }
 
-void BatchedStatevector::damp_or_jump(std::size_t q, const double* take,
-                                      const double* scale1) {
-  HGP_REQUIRE(q < num_qubits_, "damp_or_jump: qubit out of range");
+void BatchedStatevector::jump_and_scale(std::size_t q, const std::uint8_t* jump,
+                                        const double* scale1) {
+  HGP_REQUIRE(q < num_qubits_, "jump_and_scale: qubit out of range");
   const std::uint64_t bit = std::uint64_t{1} << q;
   const std::size_t L = lanes_;
+  // The jumping lanes (rare) move alone, exactly like the scalar K1 branch:
+  // each |1> amplitude goes to its |0> partner and becomes +0.0. No other
+  // lane's |0> half is touched.
+  for (std::size_t l = 0; l < L; ++l) {
+    if (!jump[l]) continue;
+    for_each_one(dim_, bit, [&](std::uint64_t i) {
+      re_[(i ^ bit) * L + l] = re_[i * L + l];
+      im_[(i ^ bit) * L + l] = im_[i * L + l];
+      re_[i * L + l] = 0.0;
+      im_[i * L + l] = 0.0;
+    });
+  }
+  // Then one scaling pass over every lane's |1> half (amp *= scale, as the
+  // scalar damping and a folded sign flip give).
   for_each_one(dim_, bit, [&](std::uint64_t i) {
-    double* __restrict__ r1 = &re_[i * L];
-    double* __restrict__ m1p = &im_[i * L];
-    double* __restrict__ r0 = &re_[(i ^ bit) * L];
-    double* __restrict__ m0 = &im_[(i ^ bit) * L];
+    double* __restrict__ r = &re_[i * L];
+    double* __restrict__ m = &im_[i * L];
     for (std::size_t l = 0; l < L; ++l) {
-      const double t = take[l];
-      const double keep = 1.0 - t;
-      r0[l] = keep * r0[l] + t * r1[l];
-      m0[l] = keep * m0[l] + t * m1p[l];
-      r1[l] *= scale1[l];
-      m1p[l] *= scale1[l];
+      r[l] *= scale1[l];
+      m[l] *= scale1[l];
     }
   });
 }

@@ -68,10 +68,15 @@ class BatchedStatevector {
   /// (scale1 folds the dephasing sign flip when it fired).
   void fused_mass_damp(std::size_t q, const double* scale1, double* m1);
 
-  /// Per-lane amplitude-damping branch on qubit q: lanes with take[l] == 1.0
-  /// jump (|1> amplitudes move to |0>, |1> zeroed — scale1[l] must be 0),
-  /// lanes with take[l] == 0.0 keep |0> and scale |1> by scale1[l].
-  void damp_or_jump(std::size_t q, const double* take, const double* scale1);
+  /// Per-lane amplitude-damping branch on qubit q: lanes with jump[l] != 0
+  /// take the K1 jump exactly as the scalar trajectory kernel does (each |1>
+  /// amplitude moves to its |0> partner and becomes +0.0); then every lane's
+  /// |1> amplitudes are scaled once by scale1[l]. The caller passes ±damp
+  /// for a lane that did not jump, ±1.0 for one that did (or for the
+  /// flip-only step of a gamma = 0 relaxation), the sign folding the
+  /// dephasing flip — so each lane ends bitwise, signed zeros included, as
+  /// noise::traj_thermal_relaxation leaves a scalar copy.
+  void jump_and_scale(std::size_t q, const std::uint8_t* jump, const double* scale1);
 
   /// Apply a 1-qubit operator to one lane only (the rare Pauli-jump path of
   /// per-lane depolarizing branches): the broadcast 1q kernels run on that
@@ -145,6 +150,8 @@ class BatchedStatevector {
   /// `what` prefixes the error message.
   void check_operator(const la::CMat& u, const std::vector<std::size_t>& qubits,
                       const char* what) const;
+  /// The 1q kernels of apply_to_lanes on qubit q.
+  void apply_1q_to_lanes(const la::CMat& u, std::size_t q, std::size_t lb, std::size_t le);
   /// apply_matrix restricted to the lanes [lb, le), after check_operator.
   void apply_to_lanes(const la::CMat& u, const std::vector<std::size_t>& qubits,
                       std::size_t lb, std::size_t le);

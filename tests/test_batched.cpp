@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "backend/presets.hpp"
 #include "common/error.hpp"
@@ -12,6 +13,7 @@
 #include "core/executor.hpp"
 #include "core/models.hpp"
 #include "graph/instances.hpp"
+#include "noise/channels.hpp"
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
 #include "sim/batched_statevector.hpp"
@@ -403,14 +405,14 @@ TEST(BatchedKernels, LaneMaskedKrausBranchesMatchPerShotReference) {
   // dephasing flip, lane 3 keeps amplitude but flips. The scalar reference
   // applies the same quantum-jump updates the executor's scalar kernel does.
   const double damp = 0.8;
-  const double take[kLanes] = {1.0, 0.0, 0.0, 0.0};
-  const double scale1[kLanes] = {0.0, damp, -damp, -1.0};
-  bsv.damp_or_jump(kQ, take, scale1);
+  const std::uint8_t jump[kLanes] = {1, 0, 0, 0};
+  const double scale1[kLanes] = {1.0, damp, -damp, -1.0};
+  bsv.jump_and_scale(kQ, jump, scale1);
   for (std::size_t l = 0; l < kLanes; ++l) {
     la::CVec& amp = ref[l].data();
     for (std::uint64_t i = 0; i < 8; ++i) {
       if (!(i & bit)) continue;
-      if (take[l] == 1.0) {
+      if (jump[l]) {
         amp[i ^ bit] = amp[i];
         amp[i] = la::cxd{0.0, 0.0};
       } else {
@@ -447,6 +449,153 @@ TEST(BatchedKernels, LaneMaskedKrausBranchesMatchPerShotReference) {
       EXPECT_NEAR(got.imag(), want.imag(), 1e-12) << "lane " << l << " i " << i;
     }
   }
+}
+
+namespace {
+
+bool same_bits(double a, double b) {
+  std::uint64_t x = 0, y = 0;
+  std::memcpy(&x, &a, sizeof x);
+  std::memcpy(&y, &b, sizeof y);
+  return x == y;
+}
+
+/// -1 on qubit q: every amplitude negated, exact zeros turned into -0.0.
+la::CMat minus_identity() {
+  la::CMat m(2, 2);
+  m(0, 0) = -1.0;
+  m(1, 1) = -1.0;
+  return m;
+}
+
+}  // namespace
+
+TEST(BatchedKernels, JumpAndScaleMatchesScalarRelaxationBitForBit) {
+  // Each lane takes one relaxation step through the walker's pool path
+  // (masses_one, the jump decision, jump_and_scale) and must end bitwise —
+  // signed zeros included — where noise::traj_thermal_relaxation leaves a
+  // scalar copy of it drawing from the same stream. The lanes mix jump,
+  // jump + flip, plain damp and damp + flip branches on states whose zeros
+  // carry both signs; then a gamma = 0 step mixes flipped and untouched
+  // lanes. 11 lanes: one full vector tile plus an odd tail.
+  constexpr std::size_t kLanes = 11, kQubits = 3, kQ = 1;
+  constexpr std::uint64_t kDim = 8;
+  enum class State { Generic, QuietOne, MinusZeros, FlippedZeros };
+  struct Want {
+    State state;
+    bool jump, flip;
+  };
+  const Want want[kLanes] = {
+      {State::Generic, true, false},      {State::Generic, true, true},
+      {State::Generic, false, false},     {State::Generic, false, true},
+      {State::FlippedZeros, false, false}, {State::FlippedZeros, false, true},
+      {State::FlippedZeros, true, false}, {State::QuietOne, false, false},
+      {State::QuietOne, false, true},     {State::MinusZeros, true, true},
+      {State::MinusZeros, false, false}};
+
+  sim::BatchedStatevector bsv(kQubits, kLanes);
+  const la::CMat x = qc::gate_matrix(qc::GateKind::X);
+  for (std::size_t l = 0; l < kLanes; ++l) {
+    const double a = 0.3 + 0.17 * static_cast<double>(l);
+    switch (want[l].state) {
+      case State::Generic:  // dense, with negative entries
+        for (std::size_t q = 0; q < kQubits; ++q) bsv.apply_matrix_lane(rotation(a + q), q, l);
+        break;
+      case State::QuietOne:  // qubit kQ untouched: its |1> half is exactly +0.0
+        bsv.apply_matrix_lane(rotation(a), 0, l);
+        bsv.apply_matrix_lane(rotation(a + 1.0), 2, l);
+        break;
+      case State::MinusZeros:  // qubit 2 untouched, zeros flipped to -0.0
+        bsv.apply_matrix_lane(rotation(a), kQ, l);
+        bsv.apply_matrix_lane(rotation(a + 1.0), 0, l);
+        bsv.apply_matrix_lane(minus_identity(), 2, l);
+        break;
+      case State::FlippedZeros:  // all mass in |1> of kQ, |0> half -0.0
+        bsv.apply_matrix_lane(x, kQ, l);
+        bsv.apply_matrix_lane(rotation(a), 0, l);
+        bsv.apply_matrix_lane(minus_identity(), 2, l);
+        break;
+    }
+  }
+
+  auto scalar_copy = [&](std::size_t l) {
+    sim::Statevector sv(kQubits);
+    for (std::uint64_t i = 0; i < kDim; ++i) sv.data()[i] = bsv.amplitude(i, l);
+    return sv;
+  };
+  auto norm2 = [](const sim::Statevector& sv) {
+    double w = 0.0;
+    for (const la::cxd& a : sv.data()) w += std::norm(a);
+    return w;
+  };
+  auto expect_lanes_match = [&](const std::vector<sim::Statevector>& ref, const char* step) {
+    for (std::size_t l = 0; l < kLanes; ++l)
+      for (std::uint64_t i = 0; i < kDim; ++i) {
+        const la::cxd got = bsv.amplitude(i, l), want_amp = ref[l].data()[i];
+        EXPECT_TRUE(same_bits(got.real(), want_amp.real()) &&
+                    same_bits(got.imag(), want_amp.imag()))
+            << step << " lane " << l << " i " << i << ": " << got << " vs " << want_amp;
+      }
+  };
+
+  // gamma > 0: find per lane a stream whose scalar draws take its branch.
+  noise::RelaxationConstants rc;
+  rc.gamma = 0.45;
+  rc.damp = std::sqrt(1.0 - rc.gamma);
+  rc.dephase = true;
+  rc.p_z = 0.5;
+  double m1[kLanes];
+  bsv.masses_one(kQ, m1);
+  std::vector<sim::Statevector> ref;
+  std::uint8_t jump[kLanes];
+  double scale1[kLanes];
+  for (std::size_t l = 0; l < kLanes; ++l) {
+    sim::Statevector sv = scalar_copy(l);
+    const double w = norm2(sv);
+    bool found = false;
+    for (std::uint64_t seed = 1; seed < 100000 && !found; ++seed) {
+      Rng draw(seed);
+      const double u = draw.uniform() * w;
+      const bool jumps = u < rc.gamma * w && u < rc.gamma * m1[l];
+      const bool flips = draw.bernoulli(rc.p_z);
+      if (jumps != want[l].jump || flips != want[l].flip) continue;
+      found = true;
+      Rng stream(seed);
+      double weight = w;
+      noise::traj_thermal_relaxation(sv, weight, kQ, rc, stream);
+      // The walker's weight bookkeeping agrees with the oracle's bit for bit.
+      const double walker_weight = jumps ? m1[l] : w - rc.gamma * m1[l];
+      EXPECT_TRUE(same_bits(weight, walker_weight)) << "lane " << l;
+      jump[l] = jumps;
+      scale1[l] = jumps ? (flips ? -1.0 : 1.0) : (flips ? -rc.damp : rc.damp);
+    }
+    ASSERT_TRUE(found) << "no stream takes lane " << l << "'s branch";
+    ref.push_back(sv);
+  }
+  bsv.jump_and_scale(kQ, jump, scale1);
+  expect_lanes_match(ref, "gamma > 0");
+
+  // gamma = 0: flip-only, jump never set.
+  noise::RelaxationConstants flip_only;
+  flip_only.dephase = true;
+  flip_only.p_z = 0.5;
+  for (std::size_t l = 0; l < kLanes; ++l) {
+    const bool flips = l % 3 != 1;
+    bool found = false;
+    for (std::uint64_t seed = 1; seed < 1000 && !found; ++seed) {
+      Rng draw(seed);
+      if (draw.bernoulli(flip_only.p_z) != flips) continue;
+      found = true;
+      Rng stream(seed);
+      double weight = 1.0;
+      noise::traj_thermal_relaxation(ref[l], weight, kQ, flip_only, stream);
+      jump[l] = 0;
+      scale1[l] = flips ? -1.0 : 1.0;
+    }
+    ASSERT_TRUE(found);
+  }
+  bsv.jump_and_scale(kQ, jump, scale1);
+  expect_lanes_match(ref, "gamma = 0");
 }
 
 TEST(BatchedKernels, SampleLanesMatchesScalarScan) {
